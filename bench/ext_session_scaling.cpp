@@ -1,6 +1,6 @@
 // Extension: session scaling on the event-driven serving core.
 //
-// One PeerServer on the epoll backend serves 32, 128, then 512 concurrent
+// One PeerServer serves 32, 128, then 512 concurrent
 // paced sessions; the server-side byte counters measure delivered
 // throughput over a steady-state window at each width.  The reactor's
 // claim is that sessions are state machines multiplexed onto O(num_loops)
@@ -11,17 +11,6 @@
 // Optional argv[1]: write the measured points as JSON (uploaded by CI
 // next to BENCH_kernels.json; runners are too noisy to gate merges on,
 // so the shape checks print rather than fail the build).
-#include <cstdio>
-#include <string>
-#include <vector>
-
-#include "coding/encoder.hpp"
-#include "common.hpp"
-#include "net/peer_server.hpp"
-#include "p2p/wire.hpp"
-#include "sim/rng.hpp"
-
-#ifdef __linux__
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -29,7 +18,15 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <thread>
+#include <vector>
+
+#include "coding/encoder.hpp"
+#include "common.hpp"
+#include "net/peer_server.hpp"
+#include "p2p/wire.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -63,8 +60,7 @@ std::size_t streaming_sessions(const net::PeerServer& server) {
 
 /// Serve `sessions` concurrent downloads for a fixed window; returns the
 /// steady-state delivered rate in kbps (0 on setup failure).
-double measure(std::size_t sessions, std::size_t* threads_out,
-               std::string* backend_out) {
+double measure(std::size_t sessions, std::size_t* threads_out) {
   net::PeerServer::Config config;
   config.require_auth = false;
   config.peer_id = 2;
@@ -73,7 +69,6 @@ double measure(std::size_t sessions, std::size_t* threads_out,
   net::PeerServer server(config, make_store());
   if (!server.start()) return 0.0;
   *threads_out = server.serving_threads();
-  *backend_out = net::to_string(server.backend());
 
   std::vector<net::Socket> clients;
   clients.reserve(sessions);
@@ -136,10 +131,9 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> widths = {32, 128, 512};
   std::vector<double> rates;
   std::size_t threads = 0;
-  std::string backend;
   std::printf("sessions,kbps,ratio_vs_32,serving_threads\n");
   for (std::size_t n : widths) {
-    const double kbps = measure(n, &threads, &backend);
+    const double kbps = measure(n, &threads);
     rates.push_back(kbps);
     std::printf("%zu,%.0f,%.3f,%zu\n", n, kbps,
                 rates.front() > 0 ? kbps / rates.front() : 0.0, threads);
@@ -153,17 +147,16 @@ int main(int argc, char** argv) {
   }
   const double mean = sum / static_cast<double>(rates.size());
   const double spread = mean > 0 ? (hi - lo) / mean : 1.0;
-  std::printf("backend=%s spread=%.3f\n", backend.c_str(), spread);
+  std::printf("spread=%.3f\n", spread);
 
   if (argc > 1) {
     if (FILE* out = std::fopen(argv[1], "w")) {
       std::fprintf(out,
                    "{\n  \"bench\": \"ext_session_scaling\",\n"
-                   "  \"backend\": \"%s\",\n"
                    "  \"rate_kbps\": %.0f,\n"
                    "  \"serving_threads\": %zu,\n"
                    "  \"spread\": %.4f,\n  \"points\": [\n",
-                   backend.c_str(), kRateKbps, threads, spread);
+                   kRateKbps, threads, spread);
       for (std::size_t i = 0; i < widths.size(); ++i)
         std::fprintf(out, "    {\"sessions\": %zu, \"kbps\": %.1f}%s\n",
                      widths[i], rates[i],
@@ -174,8 +167,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::shape_check(backend == "epoll",
-                     "the epoll backend served every configuration");
   bench::shape_check(threads == 2,
                      "serving threads stayed O(loops) — 2 for 512 sessions");
   bench::shape_check(lo > 0.0, "every width sustained a nonzero paced rate");
@@ -185,15 +176,3 @@ int main(int argc, char** argv) {
                      "512 sessions never overshoot the configured uplink");
   return 0;
 }
-
-#else  // !__linux__
-
-int main() {
-  fairshare::bench::header(
-      "Extension: session scaling",
-      "paced throughput vs concurrent sessions on the reactor");
-  std::printf("skipped: the reactor backend requires Linux epoll\n");
-  return 0;
-}
-
-#endif

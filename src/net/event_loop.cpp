@@ -1,10 +1,8 @@
 #include "net/event_loop.hpp"
 
-#ifdef __linux__
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
-#endif
 
 #include <algorithm>
 #include <cerrno>
@@ -13,17 +11,6 @@
 #include "obs/trace.hpp"
 
 namespace fairshare::net {
-
-bool epoll_available() {
-#ifdef __linux__
-  const int fd = ::epoll_create1(0);
-  if (fd < 0) return false;
-  ::close(fd);
-  return true;
-#else
-  return false;
-#endif
-}
 
 struct EventLoop::PeriodicState {
   std::uint64_t period_ns = 0;
@@ -42,7 +29,6 @@ EventLoop::EventLoop(std::string name, obs::MetricsRegistry* registry)
   m_busy_ns_ = &registry_->counter("fairshare_loop_busy_ns_total", labels);
   m_wait_ns_ = &registry_->counter("fairshare_loop_wait_ns_total", labels);
   m_wakeups_ = &registry_->counter("fairshare_loop_wakeups_total", labels);
-#ifdef __linux__
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (epoll_fd_ >= 0 && wake_fd_ >= 0) {
@@ -51,32 +37,25 @@ EventLoop::EventLoop(std::string name, obs::MetricsRegistry* registry)
     ev.data.fd = wake_fd_;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
   }
-#endif
 }
 
 EventLoop::~EventLoop() {
-#ifdef __linux__
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-#endif
 }
 
 void EventLoop::wake() {
-#ifdef __linux__
   if (wake_fd_ >= 0) {
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t n =
         ::write(wake_fd_, &one, sizeof(one));  // EAGAIN = already pending
   }
-#endif
 }
 
 void EventLoop::drain_wake_fd() {
-#ifdef __linux__
   std::uint64_t count = 0;
   while (::read(wake_fd_, &count, sizeof(count)) > 0) {
   }
-#endif
 }
 
 void EventLoop::stop() {
@@ -93,7 +72,6 @@ void EventLoop::post(std::function<void()> fn) {
 }
 
 bool EventLoop::add_fd(int fd, std::uint32_t events, FdCallback cb) {
-#ifdef __linux__
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
@@ -109,16 +87,9 @@ bool EventLoop::add_fd(int fd, std::uint32_t events, FdCallback cb) {
   fds_[fd] = std::move(entry);
   m_fds_->set(static_cast<double>(fds_.size()));
   return true;
-#else
-  (void)fd;
-  (void)events;
-  (void)cb;
-  return false;
-#endif
 }
 
 bool EventLoop::modify_fd(int fd, std::uint32_t events) {
-#ifdef __linux__
   const auto it = fds_.find(fd);
   if (it == fds_.end()) return false;
   if (it->second->events == events) return true;
@@ -128,24 +99,15 @@ bool EventLoop::modify_fd(int fd, std::uint32_t events) {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) return false;
   it->second->events = events;
   return true;
-#else
-  (void)fd;
-  (void)events;
-  return false;
-#endif
 }
 
 void EventLoop::remove_fd(int fd) {
-#ifdef __linux__
   if (fds_.erase(fd) == 0) return;
   // The fd may already be closed (fault-injected reset, peer teardown):
   // the kernel dropped it from the epoll set on close, so EBADF/ENOENT
   // here is the expected aftermath, not an error.
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   m_fds_->set(static_cast<double>(fds_.size()));
-#else
-  (void)fd;
-#endif
 }
 
 EventLoop::TimerId EventLoop::add_timer_at(std::uint64_t deadline_ns,
@@ -212,7 +174,6 @@ int EventLoop::wait_timeout_ms() const {
 }
 
 void EventLoop::run() {
-#ifdef __linux__
   if (!valid()) return;
   loop_thread_ = std::this_thread::get_id();
   running_.store(true, std::memory_order_release);
@@ -260,7 +221,6 @@ void EventLoop::run() {
     m_tick_ns_->record(busy);
   }
   running_.store(false, std::memory_order_release);
-#endif
 }
 
 }  // namespace fairshare::net

@@ -46,10 +46,6 @@
 
 namespace fairshare::net {
 
-/// True when the platform provides epoll (compile-time) and an epoll
-/// instance can actually be created (runtime) — the `caps` CLI line.
-bool epoll_available();
-
 class EventLoop {
  public:
   using FdCallback = std::function<void(std::uint32_t epoll_events)>;

@@ -60,7 +60,6 @@ sim::ReplayReport replay_live(const sim::WorkloadTrace& input,
   server_config.require_auth = false;
   server_config.peer_id = 1;
   server_config.rng_seed = config.rng_seed;
-  server_config.backend = config.backend;
   server_config.max_users = std::max<std::size_t>(ids.size() + 1, 8);
   server_config.pacing_quantum_ms = config.pacing_quantum_ms;
   server_config.registry = config.registry;

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -40,8 +39,6 @@ struct LiveReplayConfig {
   double rate_kbps = 4000.0;
   /// Wall seconds one trace slot stands for.
   double slot_seconds = 0.05;
-  /// Serving backend; unset = default_net_backend().
-  std::optional<NetBackend> backend;
   /// Server re-allocation period.  Replay transfers are short, and a fresh
   /// session waits up to one quantum for its first budget grant — at the
   /// stock 20 ms that wait alone skews single-file events, so replay runs

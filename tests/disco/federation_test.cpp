@@ -3,9 +3,6 @@
 // static peer list), survival of a discovery-node kill mid-download, and
 // the Eq. (2) payoff — contribution earned at server A buys allocation
 // share at server B through the gossiped ledger.
-//
-// Runs under whichever serving backend FAIRSHARE_NET_BACKEND selects; the
-// CI federation matrix job executes it under both epoll and threads.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -10,11 +10,9 @@
 // variance (success/failure and the counter partition must hold for every
 // seed).
 //
-// The servers run whatever backend is the build/env default — the epoll
-// reactor where available — so the chaos seeds also exercise the
+// The servers run on the reactor, so the chaos seeds also exercise the
 // non-blocking FaultyTransport discipline, where injected delays become
-// timer-wheel releases instead of sleeps; FAIRSHARE_NET_BACKEND=threads
-// re-runs the identical seeds against the blocking path.
+// timer-wheel releases instead of sleeps.
 #include <gtest/gtest.h>
 
 #include <array>

@@ -1,8 +1,7 @@
 // End-to-end chunked downloads: a chunked FileInfo selects the
 // overlapping-class decoder inside download_file, and the file arrives
-// intact over both serving backends (the epoll reactor's zero-copy
-// scatter-gather path and the blocking threads path), from a verbatim
-// store and from an encode-on-demand MessageStore source.
+// intact over the reactor's zero-copy scatter-gather serve path, from a
+// verbatim store and from an encode-on-demand MessageStore source.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -62,7 +61,7 @@ DownloadReport download_from(PeerServer& server,
   return download_file({ep}, secret, info, options);
 }
 
-TEST(ChunkedDownload, VerbatimStoreOnBothBackends) {
+TEST(ChunkedDownload, VerbatimStoreServesChunkedFile) {
   Fixture fx;
   ASSERT_EQ(fx.encoder->info().codec, coding::CodecKind::chunked);
   const auto pool = fx.encoder->generate(fx.encoder->k());
@@ -70,42 +69,36 @@ TEST(ChunkedDownload, VerbatimStoreOnBothBackends) {
   const std::size_t classes = fx.encoder->class_map().classes();
   ASSERT_GT(classes, 2u);
 
-  for (const NetBackend backend : {NetBackend::epoll, NetBackend::threads}) {
-    SCOPED_TRACE(backend == NetBackend::epoll ? "epoll" : "threads");
-    p2p::MessageStore store;
-    for (const auto& m : pool) store.store(coding::EncodedMessage(m));
-    PeerServer::Config config;
-    config.require_auth = false;
-    config.backend = backend;
-    PeerServer server(config, std::move(store));
-    ASSERT_TRUE(server.start());
-    ASSERT_EQ(server.backend(), backend);
+  p2p::MessageStore store;
+  for (const auto& m : pool) store.store(coding::EncodedMessage(m));
+  PeerServer::Config config;
+  config.require_auth = false;
+  PeerServer server(config, std::move(store));
+  ASSERT_TRUE(server.start());
 
-    obs::MetricsRegistry registry;
-    const DownloadReport report =
-        download_from(server, fx.secret, info, &registry);
-    server.stop();
+  obs::MetricsRegistry registry;
+  const DownloadReport report =
+      download_from(server, fx.secret, info, &registry);
+  server.stop();
 
-    ASSERT_TRUE(report.success);
-    EXPECT_EQ(report.data, fx.data);
-    // The quota-scheduled in-order stream decodes with zero overhead.
-    EXPECT_EQ(report.messages_accepted, fx.encoder->k());
+  ASSERT_TRUE(report.success);
+  EXPECT_EQ(report.data, fx.data);
+  // The quota-scheduled in-order stream decodes with zero overhead.
+  EXPECT_EQ(report.messages_accepted, fx.encoder->k());
 
-    // The chunked decoder reported through the per-download registry: the
-    // cascade completed every class, and the rank series carries the
-    // codec="chunked" label.
-    EXPECT_EQ(
-        registry.counter_total("fairshare_chunked_classes_complete_total"),
-        classes);
-    bool saw_chunked_rank = false;
-    for (const auto& g : registry.snapshot().gauges) {
-      if (g.name != "fairshare_decoder_rank") continue;
-      for (const auto& [key, value] : g.labels)
-        if (key == "codec") saw_chunked_rank = value == "chunked";
-      EXPECT_GE(g.value, static_cast<double>(fx.encoder->k()));
-    }
-    EXPECT_TRUE(saw_chunked_rank);
+  // The chunked decoder reported through the per-download registry: the
+  // cascade completed every class, and the rank series carries the
+  // codec="chunked" label.
+  EXPECT_EQ(registry.counter_total("fairshare_chunked_classes_complete_total"),
+            classes);
+  bool saw_chunked_rank = false;
+  for (const auto& g : registry.snapshot().gauges) {
+    if (g.name != "fairshare_decoder_rank") continue;
+    for (const auto& [key, value] : g.labels)
+      if (key == "codec") saw_chunked_rank = value == "chunked";
+    EXPECT_GE(g.value, static_cast<double>(fx.encoder->k()));
   }
+  EXPECT_TRUE(saw_chunked_rank);
 }
 
 TEST(ChunkedDownload, EncodeOnDemandSourceServesChunkedSymbols) {
@@ -116,35 +109,30 @@ TEST(ChunkedDownload, EncodeOnDemandSourceServesChunkedSymbols) {
   const std::size_t budget = 2 * fx.encoder->k();
   // The owner publishes digests for everything it may serve: prime the
   // metadata by walking one encoder through the whole budget, then let
-  // each server regenerate the identical (deterministic) stream.
+  // the server regenerate the identical (deterministic) stream.
   (void)fx.encoder->generate(budget);
   const coding::FileInfo info = fx.encoder->info();
 
-  for (const NetBackend backend : {NetBackend::epoll, NetBackend::threads}) {
-    SCOPED_TRACE(backend == NetBackend::epoll ? "epoll" : "threads");
-    auto source = std::make_shared<coding::chunked::Encoder>(
-        fx.secret, kFileId, fx.data, fx.params, small_classes());
-    p2p::MessageStore store;
-    store.attach_source(kFileId, budget,
-                        [source] { return source->next_message(); });
-    coding::EncodedMessage verbatim;
-    verbatim.file_id = kFileId;
-    EXPECT_FALSE(store.store(std::move(verbatim)))
-        << "verbatim writes must not mix into a sourced file";
-    PeerServer::Config config;
-    config.require_auth = false;
-    config.backend = backend;
-    PeerServer server(config, std::move(store));
-    ASSERT_TRUE(server.start());
+  auto source = std::make_shared<coding::chunked::Encoder>(
+      fx.secret, kFileId, fx.data, fx.params, small_classes());
+  p2p::MessageStore store;
+  store.attach_source(kFileId, budget,
+                      [source] { return source->next_message(); });
+  coding::EncodedMessage verbatim;
+  verbatim.file_id = kFileId;
+  EXPECT_FALSE(store.store(std::move(verbatim)))
+      << "verbatim writes must not mix into a sourced file";
+  PeerServer::Config config;
+  config.require_auth = false;
+  PeerServer server(config, std::move(store));
+  ASSERT_TRUE(server.start());
 
-    const DownloadReport report =
-        download_from(server, fx.secret, info, nullptr);
-    server.stop();
+  const DownloadReport report = download_from(server, fx.secret, info, nullptr);
+  server.stop();
 
-    ASSERT_TRUE(report.success);
-    EXPECT_EQ(report.data, fx.data);
-    EXPECT_GE(report.messages_accepted, fx.encoder->k());
-  }
+  ASSERT_TRUE(report.success);
+  EXPECT_EQ(report.data, fx.data);
+  EXPECT_GE(report.messages_accepted, fx.encoder->k());
 }
 
 }  // namespace

@@ -3,16 +3,15 @@
 // uplink between them by Equation (2) — per-user rates proportional to the
 // contribution ledgers, measured over real TCP.
 //
-// The server runs the build/env default backend (the epoll reactor where
-// available), so these are also the reactor's handshake/pacing/stop
-// integration tests; FAIRSHARE_NET_BACKEND=threads covers the blocking
-// twin, and tests/net/session_soak_test.cpp pushes the same assertions
-// to 512-way concurrency.
+// These are also the reactor's handshake/pacing/stop integration tests;
+// tests/net/session_soak_test.cpp pushes the same assertions to 512-way
+// concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <latch>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "crypto/chacha20.hpp"
 #include "net/download_client.hpp"
 #include "net/peer_server.hpp"
+#include "obs/trace.hpp"
 #include "p2p/wire.hpp"
 #include "sim/rng.hpp"
 
@@ -313,6 +313,99 @@ TEST(ConcurrentSessions, MaxSessionsBoundRejectsExtraConnections) {
   send_stop(*first, 1);
   drain(*first);
   server.stop();
+}
+
+// A discovery hook that stalls the pacing tick: publish_contribution runs
+// inside the tick on loop 0, so sleeping there deterministically freezes
+// the loop.  Every tenth call sleeps `stall` and first records the
+// served-bytes total the server reports, time-stamped.
+class StallingHook final : public DiscoveryHook {
+ public:
+  struct Sample {
+    std::uint64_t ns = 0;
+    double total = 0.0;
+  };
+
+  explicit StallingHook(std::chrono::milliseconds stall) : stall_(stall) {}
+
+  bool announce_file(std::uint64_t, const ServeEndpoint&) override {
+    return true;
+  }
+  void publish_contribution(std::uint64_t, double total) override {
+    if (++calls_ % 10 != 0) return;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      samples_.push_back({obs::monotonic_ns(), total});
+    }
+    std::this_thread::sleep_for(stall_);
+  }
+  double swarm_contribution(std::uint64_t) const override { return 0.0; }
+
+  std::vector<Sample> samples() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return samples_;
+  }
+
+ private:
+  const std::chrono::milliseconds stall_;
+  std::uint64_t calls_ = 0;  // loop 0 only
+  mutable std::mutex mutex_;
+  std::vector<Sample> samples_;
+};
+
+TEST(ConcurrentSessions, PacedRateHoldsWhenTheLoopStalls) {
+  // One saturated session on one loop; every tenth pacing tick stalls the
+  // loop for three quanta.  Grants must follow elapsed time, so the stall
+  // costs no service: ten ticks span thirteen quanta, and a grant of one
+  // nominal quantum per tick would deliver only 10/13 of the rate.
+  constexpr int kQuantumMs = 10;
+  constexpr double kRateKbps = 8000.0;
+  const auto data = blob(20000, 13);
+  coding::SecretKey secret{};
+  secret[0] = 14;
+
+  auto hook = std::make_shared<StallingHook>(
+      std::chrono::milliseconds(3 * kQuantumMs));
+  PeerServer::Config config;
+  config.require_auth = false;
+  config.rate_kbps = kRateKbps;
+  config.num_loops = 1;
+  config.pacing_quantum_ms = kQuantumMs;
+  config.discovery = hook;
+  // 4000 1-KiB messages: ~4 s of stream at 1 MB/s, longer than the run.
+  PeerServer server(config, make_store(secret, data, 4000));
+  ASSERT_TRUE(server.start());
+
+  auto socket = Socket::connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(socket.has_value());
+  socket->set_recv_timeout(100);
+  ASSERT_TRUE(send_request(*socket, 3));
+  std::atomic<bool> drain_stop{false};
+  std::thread drainer([&] {
+    while (!drain_stop) {
+      const auto frame = recv_frame(*socket, 64 << 20);
+      if (!frame && !socket->timed_out()) return;  // closed
+    }
+  });
+
+  // Stall-aligned window: from the 2nd to the 12th stall, ten full
+  // ten-tick cycles, each bracketed by the totals the server reported.
+  constexpr std::size_t kFirst = 1, kLast = 11;
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (hook->samples().size() <= kLast && Clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  drain_stop = true;
+  drainer.join();
+  server.stop();
+
+  const auto samples = hook->samples();
+  ASSERT_GT(samples.size(), kLast) << "pacing ticks never reached the hook";
+  const double seconds =
+      static_cast<double>(samples[kLast].ns - samples[kFirst].ns) / 1e9;
+  const double bytes = samples[kLast].total - samples[kFirst].total;
+  const double ratio = bytes / (kRateKbps * 1000.0 / 8.0 * seconds);
+  EXPECT_GE(ratio, 0.95) << bytes << " B in " << seconds << " s";
+  EXPECT_LE(ratio, 1.05) << bytes << " B in " << seconds << " s";
 }
 
 }  // namespace

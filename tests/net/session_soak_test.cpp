@@ -1,12 +1,14 @@
-// Soak: 512 concurrent paced sessions against ONE PeerServer on the epoll
-// backend.  The point of the reactor refactor made measurable: the server
-// carries hundreds of sessions on O(num_loops) threads, and Equation (2)
-// still splits the uplink by contribution ledger at that scale.
+// Soak: 512 concurrent paced sessions against ONE PeerServer.  The point
+// of the reactor made measurable: the server carries hundreds of sessions
+// on O(num_loops) threads, and Equation (2) still splits the uplink by
+// contribution ledger at that scale.
 //
 // Auth is off (each handshake costs an RSA sign/verify; 512 of them would
 // dominate the test without exercising anything the auth tests don't),
 // so clients connect, send a FileRequest naming their user, and drain.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cerrno>
@@ -18,11 +20,6 @@
 #include "net/peer_server.hpp"
 #include "p2p/wire.hpp"
 #include "sim/rng.hpp"
-
-#ifdef __linux__
-#include <poll.h>
-#include <sys/socket.h>
-#endif
 
 namespace fairshare::net {
 namespace {
@@ -64,8 +61,6 @@ std::size_t streaming_of(
   return n;
 }
 
-#ifdef __linux__
-
 TEST(SessionSoak, FiveHundredSessionsPacedByEq2OnLoopThreads) {
   PeerServer::Config config;
   config.require_auth = false;
@@ -81,8 +76,6 @@ TEST(SessionSoak, FiveHundredSessionsPacedByEq2OnLoopThreads) {
   server.seed_contribution(1, 3e6);
   server.seed_contribution(2, 1e6);
   ASSERT_TRUE(server.start());
-  if (server.backend() != NetBackend::epoll)
-    GTEST_SKIP() << "epoll backend unavailable; soak targets the reactor";
 
   // The headline claim: serving threads scale with loops, not sessions.
   EXPECT_EQ(server.serving_threads(), config.num_loops);
@@ -163,14 +156,6 @@ TEST(SessionSoak, FiveHundredSessionsPacedByEq2OnLoopThreads) {
   server.stop();
   EXPECT_GT(server.messages_sent(), 0u);
 }
-
-#else
-
-TEST(SessionSoak, SkippedWithoutEpoll) {
-  GTEST_SKIP() << "soak test targets the Linux epoll backend";
-}
-
-#endif  // __linux__
 
 }  // namespace
 }  // namespace fairshare::net

@@ -3,9 +3,6 @@
 // over TCP (net::replay_live) must tell the same story — per-user goodput
 // and Equation (2) shares within the ±15% tolerance of replay_agrees().
 //
-// Runs under both serving backends via the `replay` ctest label matrix
-// (FAIRSHARE_NET_BACKEND=threads|epoll), like the rest of the net suite.
-//
 // Parameters are deliberately small and validated: 3 users over a
 // 12-slot (0.6 s) horizon, 20000-byte files at 8 Mbit/s wire rate keep a
 // full sim+live round under a couple of seconds while leaving each user
@@ -52,9 +49,20 @@ sim::ReplayReport run_live(const sim::WorkloadTrace& trace) {
   return net::replay_live(trace, kFileBytes, kParams, config);
 }
 
-void expect_agreement(const sim::WorkloadTrace& trace, const char* family) {
+void expect_agreement(const sim::WorkloadTrace& trace, std::size_t users,
+                      const char* family) {
   const sim::ReplayReport sim_report = run_sim(trace);
+  // Non-vacuity: a user with no work (or one lone event) agrees with any
+  // engine by construction, so every user must carry real demand.
+  ASSERT_EQ(sim_report.users.size(), users) << family;
+  for (const auto& user : sim_report.users) {
+    ASSERT_GE(user.events, 2u) << family << " user " << user.user_id;
+    ASSERT_GT(user.delivered_bytes, 0.0) << family << " user " << user.user_id;
+  }
   const sim::ReplayReport live_report = run_live(trace);
+  ASSERT_EQ(live_report.users.size(), users) << family;
+  for (const auto& user : live_report.users)
+    EXPECT_GT(user.delivered_bytes, 0.0) << family << " user " << user.user_id;
   EXPECT_EQ(sim_report.transfers_failed, 0u) << family;
   EXPECT_EQ(live_report.transfers_failed, 0u) << family;
   std::string why;
@@ -68,9 +76,10 @@ TEST(ReplayAgreement, PoissonFamily) {
   sim::PoissonConfig config;
   config.users = 3;
   config.horizon = 12;
+  config.events_per_user_slot = 0.35;
   config.mean_bytes = kFileBytes;
   config.seed = 1;
-  expect_agreement(sim::poisson_trace(config), "poisson");
+  expect_agreement(sim::poisson_trace(config), config.users, "poisson");
 }
 
 TEST(ReplayAgreement, ZipfFamily) {
@@ -80,7 +89,7 @@ TEST(ReplayAgreement, ZipfFamily) {
   config.events = 24;
   config.mean_bytes = kFileBytes;
   config.seed = 1;
-  expect_agreement(sim::zipf_trace(config), "zipf");
+  expect_agreement(sim::zipf_trace(config), config.users, "zipf");
 }
 
 TEST(ReplayAgreement, FlashCrowdFamily) {
@@ -89,7 +98,7 @@ TEST(ReplayAgreement, FlashCrowdFamily) {
   config.horizon = 12;
   config.mean_bytes = kFileBytes;
   config.seed = 1;
-  expect_agreement(sim::flash_crowd_trace(config), "flash");
+  expect_agreement(sim::flash_crowd_trace(config), config.users, "flash");
 }
 
 // The sim side alone must be bit-stable per seed: same trace + same config

@@ -920,10 +920,6 @@ int cmd_caps() {
   for (const gf::FieldId id : gf::kAllFields)
     std::printf("  %-9s -> %s\n", std::string(gf::field_name(id)).c_str(),
                 gf::field_view(id).kernel);
-  std::printf("epoll          : %s\n",
-              net::epoll_available() ? "available" : "unavailable");
-  std::printf("net backend    : %s (FAIRSHARE_NET_BACKEND overrides)\n",
-              net::to_string(net::default_net_backend()));
   std::printf("codecs         : dense chunked (chunked default geometry: "
               "class-size=%u overlap=%u)\n",
               coding::ChunkedSchedule{}.class_size,
