@@ -9,13 +9,14 @@ namespace fairshare::alloc {
 
 ProportionalContributionPolicy::ProportionalContributionPolicy(
     std::size_t n_peers, double epsilon)
-    : received_total_(n_peers, epsilon) {
+    : received_total_(n_peers, epsilon), folded_(n_peers, 0.0) {
   assert(epsilon > 0.0 && "Equation (2) needs positive initial values");
 }
 
 ProportionalContributionPolicy::ProportionalContributionPolicy(
     std::vector<double> initial_ledger)
-    : received_total_(std::move(initial_ledger)) {
+    : received_total_(std::move(initial_ledger)),
+      folded_(received_total_.size(), 0.0) {
 #ifndef NDEBUG
   for (double v : received_total_)
     assert(v > 0.0 && "Equation (2) needs positive initial values");
@@ -39,6 +40,13 @@ void ProportionalContributionPolicy::observe(const SlotFeedback& feedback) {
   assert(feedback.received.size() == received_total_.size());
   for (std::size_t j = 0; j < received_total_.size(); ++j)
     received_total_[j] += feedback.received[j];
+}
+
+void ProportionalContributionPolicy::fold_swarm_total(std::size_t j,
+                                                      double total) {
+  if (total <= folded_[j]) return;
+  received_total_[j] += total - folded_[j];
+  folded_[j] = total;
 }
 
 // ------------------------------------------ DecayingContributionPolicy

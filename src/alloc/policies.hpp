@@ -18,6 +18,11 @@ namespace fairshare::alloc {
 /// has contributed to this peer's user, measured locally.  S starts at a
 /// small equal positive epsilon ("arbitrary small positive initial
 /// values"), which also matches the simulator setup of Section V.
+///
+/// This is the one Eq. (2) ledger of the code base: the simulator feeds it
+/// through observe(), while the live server (net::PeerServer), the replay
+/// engine (sim::replay_sim) and the federation twin (sim::FederationSim)
+/// drive it directly through credit() and fold_swarm_total().
 class ProportionalContributionPolicy : public AllocationPolicy {
  public:
   ProportionalContributionPolicy(std::size_t n_peers, double epsilon = 1.0);
@@ -30,11 +35,24 @@ class ProportionalContributionPolicy : public AllocationPolicy {
   void allocate(const PeerContext& ctx, std::span<double> out) override;
   void observe(const SlotFeedback& feedback) override;
 
+  /// Add `amount` to user j's ledger S_j: a seed, or service measured
+  /// outside the engine's feedback (bytes a live server sent to j).
+  void credit(std::size_t j, double amount) { received_total_[j] += amount; }
+
+  /// Fold a gossiped swarm-wide total for user j (service j earned at
+  /// OTHER origins) into the ledger.  Only the growth since the previous
+  /// fold is credited, so a re-delivered or shrinking total credits
+  /// nothing and the fold is idempotent under gossip re-delivery.
+  void fold_swarm_total(std::size_t j, double total);
+
   /// Cumulative contribution ledger S_ji (for tests/inspection).
   const std::vector<double>& ledger() const { return received_total_; }
 
  protected:
   std::vector<double> received_total_;  // S_ji, indexed by j
+
+ private:
+  std::vector<double> folded_;  // swarm total already credited, by j
 };
 
 /// Ablation A2 (the paper's own future-work suggestion): identical to

@@ -17,11 +17,11 @@
 //
 // Synchronization contract: policies are NOT internally synchronized.  The
 // simulator drives each policy from a single thread; any caller that mixes
-// threads (the live TCP server's pacing scheduler plus seeding/snapshot
-// calls) must serialize access externally — see
-// alloc/synchronized_policy.hpp for the standard wrapper.
+// threads must serialize access itself — net::PeerServer makes every call
+// on its ledger (the pacing tick and seeding) under its pacing mutex.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -48,9 +48,9 @@ struct SlotFeedback {
 };
 
 /// Per-peer allocation strategy.  allocate() must fill out[j] with the
-/// bandwidth this peer devotes to user j this slot; the engine zeroes
-/// entries for non-requesting users and rescales if the row sum exceeds
-/// capacity (a peer cannot upload more than its physical link allows).
+/// bandwidth this peer devotes to user j this slot; the engine then
+/// applies clamp_to_capacity() (a peer cannot upload more than its
+/// physical link allows).
 class AllocationPolicy {
  public:
   virtual ~AllocationPolicy() = default;
@@ -60,5 +60,21 @@ class AllocationPolicy {
   /// End-of-slot local observation; default ignores it.
   virtual void observe(const SlotFeedback& feedback) { (void)feedback; }
 };
+
+/// The engine's physics on one allocation row: no negative rates, no rate
+/// for a user who is not requesting, and a row sum of at most `capacity`
+/// (an over-full row is rescaled proportionally).
+inline void clamp_to_capacity(std::span<const std::uint8_t> requesting,
+                              double capacity, std::span<double> row) {
+  double sum = 0.0;
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    if (!requesting[j] || row[j] < 0.0) row[j] = 0.0;
+    sum += row[j];
+  }
+  if (sum > capacity && sum > 0.0) {
+    const double scale = capacity / sum;
+    for (double& r : row) r *= scale;
+  }
+}
 
 }  // namespace fairshare::alloc

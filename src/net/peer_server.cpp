@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "alloc/policies.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/export.hpp"
@@ -36,15 +35,9 @@ PeerServer::PeerServer(Config config, p2p::MessageStore store,
       identity_(std::move(identity)),
       user_bytes_(config_.max_users, 0),
       user_rate_kbps_(config_.max_users, 0.0),
-      declared_(config_.max_users, 0.0),
-      policy_(std::make_unique<alloc::SynchronizedPolicy>(
-          std::make_unique<alloc::ProportionalContributionPolicy>(
-              config_.max_users))),
+      policy_(config_.max_users),
       pt_requesting_(config_.max_users, 0),
-      pt_received_(config_.max_users, 0.0),
-      pt_shares_(config_.max_users, 0.0),
       pt_sessions_(config_.max_users, 0),
-      applied_remote_(config_.max_users, 0.0),
       registry_(config.registry ? config.registry
                                 : &obs::MetricsRegistry::global()),
       m_user_bytes_(config_.max_users, nullptr),
@@ -72,22 +65,10 @@ void PeerServer::register_user(std::uint64_t user_id,
   users_.emplace(user_id, std::move(key));
 }
 
-void PeerServer::set_policy(std::unique_ptr<alloc::AllocationPolicy> policy) {
-  policy_ = std::make_unique<alloc::SynchronizedPolicy>(std::move(policy));
-}
-
 void PeerServer::seed_contribution(std::uint64_t user_id, double amount) {
-  std::vector<double> received(config_.max_users, 0.0);
-  {
-    std::lock_guard<std::mutex> lock(pacing_mutex_);
-    const auto slot = user_slot_locked(user_id);
-    if (!slot) return;
-    received[*slot] = amount;
-  }
-  alloc::SlotFeedback feedback;
-  feedback.slot = 0;
-  feedback.received = received;
-  policy_->observe(feedback);
+  std::lock_guard<std::mutex> lock(pacing_mutex_);
+  if (const auto slot = user_slot_locked(user_id))
+    policy_.credit(*slot, amount);
 }
 
 std::optional<std::size_t> PeerServer::user_slot_locked(
@@ -180,11 +161,13 @@ void PeerServer::pacing_tick_locked() {
                          4.0 * quantum_s);
   pt_last_tick_ns_ = tick_t0;
 
+  // Equation (2)'s ledger S accumulates the service each user's peer has
+  // actually delivered (here: bytes this server sent on the user's behalf —
+  // the local measurement available to a live peer).
   std::fill(pt_requesting_.begin(), pt_requesting_.end(), 0);
-  std::fill(pt_received_.begin(), pt_received_.end(), 0.0);
   std::fill(pt_sessions_.begin(), pt_sessions_.end(), 0);
   for (const auto& [id, st] : sessions_) {
-    pt_received_[st->user_slot] += st->quantum_bytes;
+    policy_.credit(st->user_slot, st->quantum_bytes);
     st->quantum_bytes = 0.0;
     if (st->streaming) {
       pt_requesting_[st->user_slot] = 1;
@@ -193,47 +176,28 @@ void PeerServer::pacing_tick_locked() {
   }
 
   // Federation: publish this server's cumulative per-user service to the
-  // swarm and fold in what each user earned at OTHER origin servers.  The
-  // hook reports a monotone swarm-wide total; only its growth since the
-  // last tick enters the feedback (the policy itself accumulates), so the
-  // fold is idempotent under gossip re-delivery.
+  // swarm and fold in what each user earned at OTHER origin servers (the
+  // ledger credits only the growth of the hook's monotone swarm total).
   if (config_.discovery) {
     for (std::size_t s = 0; s < slot_users_.size(); ++s) {
       config_.discovery->publish_contribution(
           slot_users_[s], static_cast<double>(user_bytes_[s]));
-      const double remote =
-          config_.discovery->swarm_contribution(slot_users_[s]);
-      if (remote > applied_remote_[s]) {
-        pt_received_[s] += remote - applied_remote_[s];
-        applied_remote_[s] = remote;
-      }
+      policy_.fold_swarm_total(
+          s, config_.discovery->swarm_contribution(slot_users_[s]));
     }
   }
 
-  // Feedback first: Equation (2)'s ledger S accumulates the service each
-  // user's peer has actually delivered (here: bytes this server sent on
-  // the user's behalf — the local measurement available to a live peer).
-  alloc::SlotFeedback feedback;
-  feedback.slot = pt_slot_;
-  feedback.received = pt_received_;
-  policy_->observe(feedback);
-
   alloc::PeerContext ctx;
-  ctx.self = 0;
   ctx.slot = pt_slot_;
   ctx.capacity = config_.rate_kbps;
   ctx.requesting = pt_requesting_;
-  ctx.declared = declared_;  // live peers declare nothing (all zeros)
-  policy_->allocate(ctx, pt_shares_);
-
-  for (std::size_t s = 0; s < config_.max_users; ++s) {
-    user_rate_kbps_[s] = pt_requesting_[s] ? pt_shares_[s] : 0.0;
-    if (m_user_rate_[s]) m_user_rate_[s]->set(user_rate_kbps_[s]);
-  }
+  policy_.allocate(ctx, user_rate_kbps_);  // zero for non-requesters
+  for (std::size_t s = 0; s < slot_users_.size(); ++s)
+    m_user_rate_[s]->set(user_rate_kbps_[s]);
 
   for (const auto& [id, st] : sessions_) {
     if (!st->streaming) continue;
-    double share = pt_shares_[st->user_slot] /
+    double share = user_rate_kbps_[st->user_slot] /
                    static_cast<double>(pt_sessions_[st->user_slot]);
     if (st->cap_kbps > 0.0) share = std::min(share, st->cap_kbps);
     const double bytes_per_s = share * 1000.0 / 8.0;  // kbps -> bytes/s

@@ -16,11 +16,11 @@
 // O(sessions), so max_sessions can be raised into the hundreds without a
 // thread per connection.
 //
-// The pacing tick drives a pluggable alloc::AllocationPolicy — by default
-// the paper's Equation (2) contribution-proportional rule, keyed by
-// authenticated user id and fed by the bytes each user was actually
-// served — so the live server reproduces the allocation dynamics the
-// simulator models.
+// The pacing tick drives the paper's Equation (2) ledger,
+// alloc::ProportionalContributionPolicy — keyed by authenticated user id
+// and credited with the bytes each user was actually served — the same
+// ledger object the replay and federation simulations drive, so the live
+// server reproduces the allocation dynamics the simulator models.
 #pragma once
 
 #include <atomic>
@@ -33,7 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "alloc/synchronized_policy.hpp"
+#include "alloc/policies.hpp"
 #include "crypto/auth.hpp"
 #include "net/discovery.hpp"
 #include "net/socket.hpp"
@@ -116,11 +116,6 @@ class PeerServer {
   /// keys of the users they serve).  Call before start().
   void register_user(std::uint64_t user_id, crypto::RsaPublicKey key);
 
-  /// Replace the allocation policy (default: ProportionalContributionPolicy
-  /// over Config::max_users slots).  The policy's vectors must be sized
-  /// Config::max_users.  Call before start().
-  void set_policy(std::unique_ptr<alloc::AllocationPolicy> policy);
-
   /// Credit `amount` to a user's contribution ledger S (Equation (2)'s
   /// cumulative term) — e.g. replaying contributions recorded elsewhere.
   void seed_contribution(std::uint64_t user_id, double amount);
@@ -174,9 +169,10 @@ class PeerServer {
   /// are small; coded messages flow the other way).
   static constexpr std::size_t kMaxClientFrame = 1 << 16;
 
-  /// One Eq. (2) re-allocation: feedback -> allocate -> refill budgets
-  /// in proportion to the time elapsed since the previous tick.  Requires
-  /// pacing_mutex_; run by loop 0's periodic timer.
+  /// One Eq. (2) re-allocation: credit served bytes -> fold remote totals
+  /// -> allocate -> refill budgets in proportion to the time elapsed since
+  /// the previous tick.  Requires pacing_mutex_; run by loop 0's periodic
+  /// timer.
   void pacing_tick_locked();
   /// Slot index for a user id, assigning one if unseen; nullopt when all
   /// Config::max_users slots are taken.  Requires pacing_mutex_.
@@ -200,26 +196,21 @@ class PeerServer {
   std::atomic<std::uint64_t> session_counter_{0};  // the one salt source
 
   // Pacing state: one mutex guards the session registry, every
-  // SessionState, and the per-user tables below.
+  // SessionState, the Eq. (2) ledger, and the per-user tables below.
   mutable std::mutex pacing_mutex_;
   std::unordered_map<std::uint64_t, std::shared_ptr<SessionState>> sessions_;
   std::map<std::uint64_t, std::size_t> user_slots_;
   std::vector<std::uint64_t> slot_users_;
   std::vector<std::uint64_t> user_bytes_;
   std::vector<double> user_rate_kbps_;
-  std::vector<double> declared_;  // zeros; live peers declare nothing
-  std::unique_ptr<alloc::SynchronizedPolicy> policy_;
+  /// Eq. (2) ledger by slot: served bytes, seeds and the folded swarm
+  /// totals of the discovery hook.
+  alloc::ProportionalContributionPolicy policy_;
   // pacing_tick_locked scratch (guarded by pacing_mutex_; sized max_users).
   std::vector<std::uint8_t> pt_requesting_;
-  std::vector<double> pt_received_;
-  std::vector<double> pt_shares_;
   std::vector<std::size_t> pt_sessions_;
   std::uint64_t pt_slot_ = 0;
   std::uint64_t pt_last_tick_ns_ = 0;  ///< 0 = no tick yet
-  /// Gossiped remote contribution already folded into the policy ledger,
-  /// by slot (pacing_mutex_): each tick applies only the delta against
-  /// the hook's current swarm total, keeping the fold idempotent.
-  std::vector<double> applied_remote_;
 
   std::atomic<std::size_t> sessions_completed_{0};
   std::atomic<std::size_t> auth_rejections_{0};

@@ -425,16 +425,7 @@ void System::serve_sessions(std::vector<double>& used_upload) {
     ctx.requesting = requesting;
     ctx.declared = declared;
     peers_[peer]->policy->allocate(ctx, row);
-
-    double sum = 0.0;
-    for (std::size_t u = 0; u < count; ++u) {
-      if (!requesting[u] || row[u] < 0.0) row[u] = 0.0;
-      sum += row[u];
-    }
-    if (sum > ctx.capacity && sum > 0.0) {
-      const double scale = ctx.capacity / sum;
-      for (std::size_t u = 0; u < count; ++u) row[u] *= scale;
-    }
+    alloc::clamp_to_capacity(requesting, ctx.capacity, row);
     for (std::size_t u = 0; u < count; ++u) matrix[peer * count + u] = row[u];
   }
 

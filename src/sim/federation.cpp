@@ -1,6 +1,5 @@
 #include "sim/federation.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace fairshare::sim {
@@ -11,8 +10,6 @@ FederationSim::FederationSim(FederationConfig config)
     shard.policy = std::make_unique<alloc::ProportionalContributionPolicy>(
         config_.users, config_.epsilon);
     shard.local_total.assign(config_.users, 0.0);
-    shard.applied_remote.assign(config_.users, 0.0);
-    shard.last_service.assign(config_.users, 0.0);
     shard.last_shares.assign(config_.users, 0.0);
   }
 }
@@ -20,42 +17,27 @@ FederationSim::FederationSim(FederationConfig config)
 void FederationSim::step(
     const std::vector<std::vector<std::uint8_t>>& requesting) {
   assert(requesting.size() == shards_.size());
-  const std::vector<double> declared(config_.users, 0.0);
-  std::vector<double> received(config_.users, 0.0);
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     assert(requesting[s].size() == config_.users);
 
-    // Mirror of the live pacing tick: measured feedback, publish local
-    // totals, fold the remote delta, observe, allocate.
+    // The live pacing tick's order: credit the service of the slot that
+    // just ended (its shares), fold the gossiped remote totals, allocate.
     for (std::size_t u = 0; u < config_.users; ++u) {
-      received[u] = shard.last_service[u];
-      const double remote = shard.replica.swarm_total(u, /*exclude=*/s);
-      if (remote > shard.applied_remote[u]) {
-        received[u] += remote - shard.applied_remote[u];
-        shard.applied_remote[u] = remote;
-      }
+      shard.policy->credit(u, shard.last_shares[u]);
+      shard.policy->fold_swarm_total(
+          u, shard.replica.swarm_total(u, /*exclude=*/s));
     }
-    alloc::SlotFeedback feedback;
-    feedback.slot = slot_;
-    feedback.received = received;
-    shard.policy->observe(feedback);
 
     alloc::PeerContext ctx;
-    ctx.self = 0;
     ctx.slot = slot_;
     ctx.capacity = config_.shard_capacity_kbps;
     ctx.requesting = requesting[s];
-    ctx.declared = declared;
-    shard.policy->allocate(ctx, shard.last_shares);
+    shard.policy->allocate(ctx, shard.last_shares);  // 0 for idle users
 
     for (std::size_t u = 0; u < config_.users; ++u) {
-      const double service =
-          requesting[s][u] ? shard.last_shares[u] : 0.0;
-      shard.last_shares[u] = service;
-      shard.last_service[u] = service;
-      shard.local_total[u] += service;
+      shard.local_total[u] += shard.last_shares[u];
       // Publish end-of-slot totals, as the live tick publishes user_bytes_
       // already including the quantum that just ended.
       shard.replica.record(u, /*origin=*/s, shard.local_total[u]);

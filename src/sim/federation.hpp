@@ -2,13 +2,14 @@
 // population, gossiped contribution ledgers.
 //
 // This is the simulation twin of the live disco path: each shard runs its
-// own Eq. (2) ProportionalContributionPolicy fed only by the service IT
-// delivered, plus an alloc::FederatedLedger replica.  Every slot a shard
-// publishes its cumulative per-user totals into its replica and folds the
-// gossiped REMOTE totals (every other origin's rows) into the policy
-// feedback as deltas — exactly the PeerServer::pacing_tick_locked fold.
-// Replicas max-merge pairwise every gossip_period_slots (0 = never, the
-// negative control: shards then see only local history).
+// own Eq. (2) ProportionalContributionPolicy credited only with the service
+// IT delivered, plus an alloc::FederatedLedger replica.  Every slot a shard
+// publishes its cumulative per-user totals into its replica and hands the
+// gossiped REMOTE totals (every other origin's rows) to the policy's
+// fold_swarm_total — the same ledger call the live pacing tick makes with
+// its discovery hook's totals.  Replicas max-merge pairwise every
+// gossip_period_slots (0 = never, the negative control: shards then see
+// only local history).
 //
 // The scenario the federation tests drive: a user contributes bytes
 // through shard A, then shows up requesting at shard B.  With gossip on,
@@ -70,10 +71,8 @@ class FederationSim {
   struct Shard {
     std::unique_ptr<alloc::ProportionalContributionPolicy> policy;
     alloc::FederatedLedger replica;
-    std::vector<double> local_total;     ///< cumulative service delivered
-    std::vector<double> applied_remote;  ///< remote already folded in
-    std::vector<double> last_service;    ///< previous slot, = feedback
-    std::vector<double> last_shares;
+    std::vector<double> local_total;  ///< cumulative service delivered
+    std::vector<double> last_shares;  ///< this slot's service, credited next
   };
 
   FederationConfig config_;

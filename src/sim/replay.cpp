@@ -16,34 +16,6 @@ namespace fairshare::sim {
 
 namespace {
 
-/// The live server's Equation (2): shares proportional to a bytes-SERVED
-/// ledger (PeerServer::pacing_tick_locked feeds its policy the bytes each
-/// user was actually sent, seeded by seed_contribution).  The simulator's
-/// built-in feedback is what this peer's own *user* received — not the
-/// same measurement — so the replay loop credits this ledger explicitly
-/// and engine feedback is ignored.
-class ServedLedgerPolicy final : public alloc::AllocationPolicy {
- public:
-  ServedLedgerPolicy(std::size_t n, double epsilon)
-      : ledger_(n, epsilon) {}
-
-  void allocate(const alloc::PeerContext& ctx,
-                std::span<double> out) override {
-    double denom = 0.0;
-    for (std::size_t j = 0; j < ledger_.size(); ++j)
-      if (ctx.requesting[j]) denom += ledger_[j];
-    for (std::size_t j = 0; j < ledger_.size(); ++j)
-      out[j] = (ctx.requesting[j] && denom > 0.0)
-                   ? ctx.capacity * ledger_[j] / denom
-                   : 0.0;
-  }
-
-  void credit(std::size_t j, double bytes) { ledger_[j] += bytes; }
-
- private:
-  std::vector<double> ledger_;
-};
-
 double relative_diff(double a, double b) {
   const double scale = std::max(std::abs(a), std::abs(b));
   if (scale <= 0.0) return 0.0;
@@ -76,7 +48,11 @@ ReplayReport replay_sim(const WorkloadTrace& input,
   const double effective_kbps =
       config.rate_kbps * config.slot_seconds / config.wire_overhead;
 
-  auto policy = std::make_shared<ServedLedgerPolicy>(n, 1.0);
+  // Peer 0's ledger is credited by hand below, with the bytes each user
+  // was served; the engine's own feedback to it (what peer 0's user
+  // received) is all zeros, since that user never requests and every
+  // other peer is a zero-capacity free rider.
+  auto policy = std::make_shared<alloc::ProportionalContributionPolicy>(n);
   std::map<std::uint64_t, std::size_t> index_of;  // user_id -> peer index
   for (std::size_t u = 0; u < ids.size(); ++u) index_of[ids[u]] = u + 1;
   for (const auto& [user_id, amount] : config.seed_contributions) {

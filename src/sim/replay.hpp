@@ -3,9 +3,10 @@
 //
 // replay_sim() runs a WorkloadTrace through the slotted Simulator with a
 // topology mirroring the live setup of net::replay_live: one serving peer
-// dividing its upload by the paper's Equation (2) over a bytes-served
-// ledger (exactly what PeerServer::pacing_tick_locked feeds its policy),
-// and one closed-loop TraceDemand per user that requests while it has
+// dividing its upload by the paper's Equation (2) — the same
+// alloc::ProportionalContributionPolicy ledger the live server's pacing
+// tick drives, credited with the framed bytes each user was served — and
+// one closed-loop TraceDemand per user that requests while it has
 // backlog.  Both engines emit a ReplayReport with identical fields, so a
 // sim run and a live run of the same trace can be compared field-for-field
 // by replay_agrees() — the agreement test that keeps the simulator honest.

@@ -59,17 +59,7 @@ void Simulator::step() {
     ctx.requesting = requesting_;
     ctx.declared = declared_;
     peers_[i].policy->allocate(ctx, alloc_row_);
-
-    // Physics: no negative rates, no serving idle users, row sum <= cap.
-    double sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!requesting_[j] || alloc_row_[j] < 0.0) alloc_row_[j] = 0.0;
-      sum += alloc_row_[j];
-    }
-    if (sum > cap && sum > 0.0) {
-      const double scale = cap / sum;
-      for (std::size_t j = 0; j < n; ++j) alloc_row_[j] *= scale;
-    }
+    alloc::clamp_to_capacity(requesting_, cap, alloc_row_);
     if (config_.quantum_kbps > 0.0) {
       for (std::size_t j = 0; j < n; ++j)
         alloc_row_[j] = std::floor(alloc_row_[j] / config_.quantum_kbps) *

@@ -86,6 +86,66 @@ TEST(ProportionalContribution, LedgerAccumulatesAcrossSlots) {
   EXPECT_DOUBLE_EQ(policy.ledger()[1], 1.0 + 15.0);
 }
 
+TEST(ProportionalContribution, CreditAddsToOneLedgerRow) {
+  ProportionalContributionPolicy policy(3, 1.0);
+  policy.credit(1, 9.0);
+  policy.credit(1, 10.0);
+  policy.credit(2, 0.5);
+  EXPECT_DOUBLE_EQ(policy.ledger()[0], 1.0);
+  EXPECT_DOUBLE_EQ(policy.ledger()[1], 20.0);
+  EXPECT_DOUBLE_EQ(policy.ledger()[2], 1.5);
+  // Credits feed Equation (2) exactly as observed feedback does.
+  const std::vector<std::uint8_t> req{0, 1, 1};
+  const std::vector<double> decl(3, 0.0);
+  std::vector<double> out(3);
+  policy.allocate(context(0, 215, req, decl), out);
+  EXPECT_DOUBLE_EQ(out[1], 200);  // 215 * 20 / 21.5
+  EXPECT_DOUBLE_EQ(out[2], 15);
+}
+
+TEST(ProportionalContribution, FoldCreditsOnlySwarmTotalGrowth) {
+  ProportionalContributionPolicy policy(2, 1.0);
+  policy.fold_swarm_total(0, 100.0);
+  EXPECT_DOUBLE_EQ(policy.ledger()[0], 101.0);
+  policy.fold_swarm_total(0, 100.0);  // gossip re-delivered: no credit
+  EXPECT_DOUBLE_EQ(policy.ledger()[0], 101.0);
+  policy.fold_swarm_total(0, 40.0);   // stale, smaller total: no credit
+  EXPECT_DOUBLE_EQ(policy.ledger()[0], 101.0);
+  policy.fold_swarm_total(0, 130.0);  // growth since the last fold only
+  EXPECT_DOUBLE_EQ(policy.ledger()[0], 131.0);
+  EXPECT_DOUBLE_EQ(policy.ledger()[1], 1.0);  // other rows untouched
+}
+
+TEST(ProportionalContribution, FoldIsIndependentOfLocalCredit) {
+  // Local service and the remote fold are separate sources: crediting
+  // local bytes must not shift the fold's baseline, or vice versa.
+  ProportionalContributionPolicy policy(1, 1.0);
+  policy.credit(0, 50.0);
+  policy.fold_swarm_total(0, 20.0);
+  policy.credit(0, 5.0);
+  policy.fold_swarm_total(0, 20.0);
+  policy.fold_swarm_total(0, 25.0);
+  EXPECT_DOUBLE_EQ(policy.ledger()[0], 1.0 + 50.0 + 5.0 + 25.0);
+}
+
+TEST(CapacityClamp, DropsIdleAndNegativeRatesAndRescales) {
+  const std::vector<std::uint8_t> req{1, 0, 1, 1};
+  std::vector<double> row{300.0, 50.0, -10.0, 100.0};
+  clamp_to_capacity(req, 200.0, row);
+  EXPECT_DOUBLE_EQ(row[0], 150.0);  // 300 * 200 / 400
+  EXPECT_DOUBLE_EQ(row[1], 0.0);    // not requesting
+  EXPECT_DOUBLE_EQ(row[2], 0.0);    // negative
+  EXPECT_DOUBLE_EQ(row[3], 50.0);
+}
+
+TEST(CapacityClamp, LeavesAFeasibleRowAlone) {
+  const std::vector<std::uint8_t> req{1, 1};
+  std::vector<double> row{30.0, 60.0};
+  clamp_to_capacity(req, 100.0, row);
+  EXPECT_DOUBLE_EQ(row[0], 30.0);
+  EXPECT_DOUBLE_EQ(row[1], 60.0);
+}
+
 TEST(DecayingContribution, ForgetsOldContributions) {
   DecayingContributionPolicy policy(2, 0.5, 1.0);
   // One big early contribution from peer 0, then silence.

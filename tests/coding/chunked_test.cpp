@@ -202,8 +202,21 @@ TEST(Chunked, MatchesDenseDecoderBitExactly) {
   EXPECT_EQ(via_chunked, via_dense);
 }
 
+// gtest prints a struct without operator<< as its raw bytes, and CTest
+// names each case by that print. The padding after `field` is therefore
+// an explicit zeroed member: left implicit, it holds stack leftovers
+// (addresses, under ASLR) and the case names change from build to build.
 struct GeometryCase {
+  GeometryCase(gf::FieldId field_, std::size_t m_, std::size_t data_bytes_,
+               std::uint32_t class_size_, std::uint32_t overlap_)
+      : field(field_),
+        m(m_),
+        data_bytes(data_bytes_),
+        class_size(class_size_),
+        overlap(overlap_) {}
+
   gf::FieldId field;
+  std::uint8_t zero_padding[sizeof(std::size_t) - sizeof(gf::FieldId)]{};
   std::size_t m;
   std::size_t data_bytes;
   std::uint32_t class_size;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <latch>
 #include <mutex>
@@ -189,6 +190,105 @@ TEST(ConcurrentSessions, RatesFollowSeededContributionLedgers) {
   const auto snapshot = server.allocation_snapshot();
   ASSERT_EQ(snapshot.size(), 2u);
   server.stop();
+}
+
+// seed_contribution from another thread while the pacing tick runs on the
+// loop: both touch the Eq. (2) ledger, under the one pacing mutex (this
+// suite runs under TSan via the net label).  The rates must follow the
+// ledger as it is re-seeded: 1:1 before, 3:1 after.
+TEST(ConcurrentSessions, SeedingWhileStreamingMovesRatesToTheNewLedger) {
+  const auto data = blob(20000, 15);
+  coding::SecretKey secret{};
+  secret[0] = 16;
+
+  crypto::ChaCha20 krng = rng_for(17);
+  const crypto::RsaKeyPair peer_key = crypto::RsaKeyPair::generate(512, krng);
+  const crypto::RsaKeyPair key_a = crypto::RsaKeyPair::generate(512, krng);
+  const crypto::RsaKeyPair key_b = crypto::RsaKeyPair::generate(512, krng);
+
+  constexpr double kRateKbps = 4000.0;
+  PeerServer::Config config;
+  config.require_auth = true;
+  config.peer_id = 3;
+  config.rate_kbps = kRateKbps;
+  PeerServer server(config, make_store(secret, data, 2000), peer_key);
+  server.register_user(1, key_a.pub);
+  server.register_user(2, key_b.pub);
+  // Seeds dwarf the bytes served during the test, so the ledger ratio is
+  // the seeded one: 1:1 now, 3:1 once user 1 is credited another 2e9.
+  server.seed_contribution(1, 1e9);
+  server.seed_contribution(2, 1e9);
+  ASSERT_TRUE(server.start());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  auto client = [&](std::uint64_t user_id, const crypto::RsaKeyPair& key) {
+    auto socket = Socket::connect_to("127.0.0.1", server.port());
+    if (!socket || !handshake(*socket, user_id, key, peer_key.pub, user_id) ||
+        !send_request(*socket, user_id)) {
+      ++failures;
+      return;
+    }
+    socket->set_recv_timeout(20);
+    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    while (!done && Clock::now() < deadline) {
+      const auto frame = recv_frame(*socket, 64 << 20);
+      if (!frame && !socket->timed_out()) return;  // store exhausted
+    }
+    send_stop(*socket, user_id);
+    drain(*socket);
+  };
+  std::thread ta(client, 1, std::cref(key_a));
+  std::thread tb(client, 2, std::cref(key_b));
+
+  // User 1's fraction of the rate, once both users stream and hold a
+  // share; negative until then.
+  const auto user1_fraction = [&] {
+    const auto snap = server.allocation_snapshot();
+    if (snap.size() != 2) return -1.0;
+    double rate[2] = {0.0, 0.0};
+    for (const auto& share : snap) {
+      if (share.active_sessions == 0 || share.rate_kbps <= 0.0) return -1.0;
+      rate[share.user_id - 1] = share.rate_kbps;
+    }
+    return rate[0] / (rate[0] + rate[1]);
+  };
+  const auto wait_for_fraction = [&](double target) {
+    double fraction = -1.0;
+    const auto deadline = Clock::now() + std::chrono::seconds(5);
+    while (Clock::now() < deadline) {
+      fraction = user1_fraction();
+      if (std::abs(fraction - target) < 0.01) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return fraction;
+  };
+
+  EXPECT_NEAR(wait_for_fraction(0.5), 0.5, 0.01);
+  std::atomic<bool> seeded{false};
+  std::thread seeder([&] {
+    for (int i = 0; i < 100; ++i) {
+      server.seed_contribution(1, 2e7);
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+    seeded = true;
+  });
+  // Snapshots race the seeder and the tick meanwhile; every one must be a
+  // coherent split of the whole rate between the two streaming users.
+  while (!seeded) {
+    double sum = 0.0;
+    for (const auto& share : server.allocation_snapshot())
+      sum += share.rate_kbps;
+    EXPECT_NEAR(sum, kRateKbps, 1e-9 * kRateKbps);
+  }
+  seeder.join();
+  EXPECT_NEAR(wait_for_fraction(0.75), 0.75, 0.01);
+
+  done = true;
+  ta.join();
+  tb.join();
+  server.stop();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(ConcurrentSessions, TwoFullDownloadsShareOneServer) {

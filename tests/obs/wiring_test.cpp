@@ -2,7 +2,8 @@
 // download_file over TCP report into one registry whose numbers equal the
 // returned DownloadReport exactly; allocation_snapshot() stays coherent
 // under concurrent hammering (run under TSan via the obs ctest label);
-// decoder, policy, fault-injector, and simulator instrumentation round-trip.
+// the server's share gauges equal its allocation snapshot; decoder,
+// fault-injector, and simulator instrumentation round-trip.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "alloc/observed_policy.hpp"
 #include "alloc/policies.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
@@ -267,32 +267,77 @@ TEST(ObsWiring, DecoderMetricsTrackRankAndEliminations) {
   EXPECT_LE(eliminations, added);
 }
 
-TEST(ObsWiring, ObservedPolicyPublishesShares) {
+// The live share gauge is the server's Eq. (2) decision as exporters see
+// it: while two users stream, each user's fairshare_server_user_rate_kbps
+// equals the rate allocation_snapshot() reports, and the gauges of the
+// streaming users sum to the server's whole rate_kbps.
+TEST(ObsWiring, ServerShareGaugesMatchAllocationSnapshot) {
+  const auto data = blob(100000, 23);
+  coding::SecretKey secret{};
+  secret[0] = 5;
+  coding::FileEncoder encoder(secret, kFileId, data, kParams);
+  p2p::MessageStore store;
+  for (auto& m : encoder.generate(encoder.k())) store.store(std::move(m));
+
   obs::MetricsRegistry registry;
-  alloc::ObservedPolicy policy(
-      std::make_unique<alloc::ProportionalContributionPolicy>(2), registry,
-      "7");
-  std::vector<std::uint8_t> requesting = {1, 1};
-  std::vector<double> declared = {0.0, 0.0};
-  std::vector<double> shares(2);
-  alloc::PeerContext ctx;
-  ctx.self = 0;
-  ctx.slot = 1;
-  ctx.capacity = 1000.0;
-  ctx.requesting = requesting;
-  ctx.declared = declared;
-  policy.allocate(ctx, shares);
-  EXPECT_EQ(registry
-                .counter("fairshare_alloc_allocations_total", {{"peer", "7"}})
-                .value(),
-            1u);
-  double total = 0.0;
-  for (std::size_t u = 0; u < 2; ++u)
-    total += registry
-                 .gauge("fairshare_alloc_share_kbps",
-                        {{"peer", "7"}, {"user", std::to_string(u)}})
-                 .value();
-  EXPECT_NEAR(total, 1000.0, 1e-9);  // gauges mirror the allocate() output
+  net::PeerServer::Config config;
+  config.peer_id = 7;
+  config.require_auth = false;
+  config.rate_kbps = 2000.0;
+  config.registry = &registry;
+  net::PeerServer server(config, std::move(store));
+  // Ledgers 1:2, large enough that served bytes barely move the ratio.
+  server.seed_contribution(1, 1e12);
+  server.seed_contribution(2, 2e12);
+  ASSERT_TRUE(server.start());
+
+  net::PeerEndpoint endpoint;
+  endpoint.port = server.port();
+  std::vector<std::thread> clients;
+  std::vector<net::DownloadReport> reports(2);
+  for (std::uint64_t u = 0; u < 2; ++u)
+    clients.emplace_back([&, u] {
+      net::DownloadOptions options;
+      options.user_id = u + 1;
+      reports[u] =
+          net::download_file({endpoint}, secret, encoder.info(), options);
+    });
+
+  const auto gauge = [&](std::uint64_t user) {
+    return registry
+        .gauge("fairshare_server_user_rate_kbps",
+               {{"peer", "7"}, {"user", std::to_string(user)}})
+        .value();
+  };
+  // Read the gauges between two identical snapshots, so no pacing tick
+  // moved the rates while they were read; both users must hold a share.
+  bool sampled = false;
+  std::vector<net::PeerServer::AllocationShare> snap;
+  std::vector<double> gauges(2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!sampled && std::chrono::steady_clock::now() < deadline) {
+    const auto before = server.allocation_snapshot();
+    for (std::uint64_t u = 0; u < 2; ++u) gauges[u] = gauge(u + 1);
+    snap = server.allocation_snapshot();
+    sampled = snap.size() == 2 && before.size() == 2;
+    for (std::size_t i = 0; sampled && i < snap.size(); ++i)
+      sampled = snap[i].active_sessions > 0 && snap[i].rate_kbps > 0.0 &&
+                snap[i].rate_kbps == before[i].rate_kbps;
+    if (!sampled) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  for (auto& t : clients) t.join();
+  server.stop();
+
+  ASSERT_TRUE(sampled) << "never saw both users streaming with a share";
+  double sum = 0.0;
+  for (const auto& share : snap) {
+    EXPECT_EQ(gauges[share.user_id - 1], share.rate_kbps) << share.user_id;
+    sum += gauges[share.user_id - 1];
+  }
+  EXPECT_NEAR(sum, config.rate_kbps, 1e-9 * config.rate_kbps);
+  EXPECT_NEAR(gauges[1] / gauges[0], 2.0, 1e-6);  // the seeded 1:2 ledger
+  for (const auto& report : reports) EXPECT_TRUE(report.success);
 }
 
 TEST(ObsWiring, FaultInjectorMirrorsStatsIntoRegistry) {

@@ -11,16 +11,11 @@
 // and review the diff before committing.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
+#include "sim/golden.hpp"
 #include "sim/workload.hpp"
 
-#ifndef SIM_GOLDEN_DIR
-#define SIM_GOLDEN_DIR "."
-#endif
 #ifndef SIM_DATA_DIR
 #define SIM_DATA_DIR "."
 #endif
@@ -33,25 +28,7 @@ std::string data_path(const std::string& file) {
   return std::string(SIM_DATA_DIR) + "/" + file;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-void compare_golden(const std::string& actual, const std::string& file) {
-  const std::string path = std::string(SIM_GOLDEN_DIR) + "/" + file;
-  if (std::getenv("FAIRSHARE_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  const std::string expected = read_file(path);
-  ASSERT_FALSE(expected.empty()) << "missing golden " << path;
-  EXPECT_EQ(actual, expected) << "importer output drifted from " << path
-                              << "; regenerate deliberately if intended";
-}
+using sim_test::compare_golden;
 
 // ---------------------------------------------------------------- schema
 
