@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the hot kernels underlying Table II:
 // field row operations (the O(m k^2) elimination inner loop), the full
-// decode pipeline those kernels feed, scalar multiplication, hashing, and
-// the ChaCha20 coefficient stream.
+// decode pipeline those kernels feed, the owner's chunked encode, scalar
+// multiplication, hashing, and the ChaCha20 coefficient stream.
 //
 // Row-kernel benchmarks carry a `simd` axis: simd=0 pins the portable
 // scalar kernels (gf::scalar_field_view), simd=1 uses whatever
@@ -12,9 +12,12 @@
 // scalar pipeline numbers (tools/bench_to_json.py merges the two runs into
 // the committed BENCH_kernels.json baseline).
 #include <benchmark/benchmark.h>
+#include <sched.h>
 
+#include <chrono>
 #include <vector>
 
+#include "coding/chunked.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
 #include "common.hpp"
@@ -23,6 +26,7 @@
 #include "crypto/sha256.hpp"
 #include "gf/row_ops.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/progressive.hpp"
 #include "net/peer_server.hpp"
 #include "net/socket.hpp"
 #include "p2p/store.hpp"
@@ -170,6 +174,110 @@ void BM_ServePipeline(benchmark::State& state) {
   server.stop();
 }
 BENCHMARK(BM_ServePipeline)->Unit(benchmark::kMillisecond);
+
+// Owner-side chunked encode at perfbench's video geometry: a 64 MiB file
+// over GF(2^32) with m = 2^15 (128 KiB messages) and 64-chunk classes
+// overlapping by 8.  Each iteration encodes one period of k messages from
+// a fresh encoder; its constructor (mostly the content MD5) is untimed.
+// cpus:1 pins this thread, and with it the pool the encoder spawns from
+// it, to one CPU; cpus:0 leaves all of this process's CPUs to the pool.
+//
+// Counters, in ms per coded MB (10^6 bytes):
+//  * ms_per_MB: the whole generate(k) call;
+//  * screen_ms_per_MB: coefficient regeneration and per-class rank
+//    screening, replayed serially after the timed loop (the encoder runs
+//    this stage serially on the calling thread);
+//  * digest_ms_per_MB: MD5 of every message's wire image, also replayed
+//    serially after the timed loop;
+//  * payload_ms_per_MB (cpus:1): the rest of the call, the axpy work;
+//  * blocks_ms_per_MB (cpus:0): the call's wall time after screening,
+//    payloads and digests as the pool ran them.
+void BM_Encode(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const bool one_cpu = state.range(0) == 1;
+  const coding::CodingParams params{gf::FieldId::gf2_32, 1u << 15};
+  const coding::ChunkedSchedule schedule{};  // 64/8, seed 0
+  coding::SecretKey secret{};
+  secret[0] = 7;
+  sim::SplitMix64 rng(42);
+  std::vector<std::byte> data(64u << 20);
+  for (auto& b : data) b = std::byte{static_cast<std::uint8_t>(rng.next())};
+
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  sched_getaffinity(0, sizeof saved, &saved);
+  if (one_cpu) {
+    int first = 0;
+    while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved)) ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    sched_setaffinity(0, sizeof one, &one);
+  }
+
+  std::vector<coding::EncodedMessage> messages;
+  std::size_t k = 0;
+  double generate_ms = 0.0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    messages.clear();
+    coding::chunked::Encoder encoder(secret, 1, data, params, schedule);
+    k = encoder.k();
+    state.ResumeTiming();
+    const auto t0 = Clock::now();
+    messages = encoder.generate(k);
+    generate_ms +=
+        std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    benchmark::DoNotOptimize(messages.data());
+  }
+
+  // Serial replays of the screen and digest stages over the same ids.
+  const coding::chunked::ClassMap map(k, schedule);
+  const coding::CoefficientGenerator coeffs(secret, 1, params,
+                                            map.max_width());
+  std::vector<linalg::IncrementalRank> rank;
+  for (std::size_t c = 0; c < map.classes(); ++c)
+    rank.emplace_back(params.field, map.width(c));
+  const auto t0 = Clock::now();
+  for (std::uint64_t id = 0, accepted = 0; accepted < k; ++id) {
+    const std::size_t cls = map.class_of(id);
+    const auto symbols = coeffs.row_symbols(id);
+    if (!rank[cls].add_row(std::span(symbols).first(map.width(cls))))
+      continue;
+    if (rank[cls].full())
+      rank[cls] = linalg::IncrementalRank(params.field, map.width(cls));
+    ++accepted;
+  }
+  const auto t1 = Clock::now();
+  for (const auto& msg : messages) benchmark::DoNotOptimize(msg.digest());
+  const auto t2 = Clock::now();
+  sched_setaffinity(0, sizeof saved, &saved);
+
+  const double mb = static_cast<double>(k * params.message_bytes()) / 1e6;
+  const double per_call =
+      generate_ms / static_cast<double>(state.iterations()) / mb;
+  const double screen =
+      std::chrono::duration<double, std::milli>(t1 - t0).count() / mb;
+  const double digest =
+      std::chrono::duration<double, std::milli>(t2 - t1).count() / mb;
+  state.counters["k"] = static_cast<double>(k);
+  state.counters["ms_per_MB"] = per_call;
+  state.counters["screen_ms_per_MB"] = screen;
+  state.counters["digest_ms_per_MB"] = digest;
+  if (one_cpu)
+    state.counters["payload_ms_per_MB"] = per_call - screen - digest;
+  else
+    state.counters["blocks_ms_per_MB"] = per_call - screen;
+  state.SetLabel(gf::field_view(params.field).kernel);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k * params.message_bytes()));
+}
+BENCHMARK(BM_Encode)
+    ->Arg(1)
+    ->Arg(0)
+    ->ArgNames({"cpus"})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ScalarMul(benchmark::State& state) {
   const auto field = static_cast<gf::FieldId>(state.range(0));

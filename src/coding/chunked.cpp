@@ -90,6 +90,15 @@ std::vector<std::size_t> ClassMap::classes_containing(std::size_t j) const {
 
 // ----------------------------------------------------------------- Encoder
 
+namespace {
+
+// generate()'s blocking: up to kBlockMessages messages of one class share
+// a pass over the class window, kTileBytes of each row at a time.
+constexpr std::size_t kBlockMessages = 8;
+constexpr std::size_t kTileBytes = 64 * 1024;
+
+}  // namespace
+
 Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
                  std::span<const std::byte> data, const CodingParams& params,
                  const ChunkedSchedule& schedule)
@@ -118,38 +127,82 @@ Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
 }
 
 EncodedMessage Encoder::next_message() {
-  const auto& f = gf::field_view(params_.field);
-  for (;;) {
-    const std::uint64_t candidate = next_id_++;
-    const std::size_t cls = map_.class_of(candidate);
-    const std::size_t w = map_.width(cls);
-    const std::vector<std::uint64_t> symbols = coeffs_.row_symbols(candidate);
-    const std::span<const std::uint64_t> row(symbols.data(), w);
-    if (!batch_rank_[cls].add_row(row)) continue;  // dependent; skip this id
-    if (batch_rank_[cls].full())
-      batch_rank_[cls] = linalg::IncrementalRank(params_.field, w);
-
-    EncodedMessage msg;
-    msg.file_id = info_.file_id;
-    msg.message_id = candidate;
-    msg.payload.assign(chunk_bytes_, std::byte{0});
-    const std::size_t start = map_.start(cls);
-    for (std::size_t j = 0; j < w; ++j) {
-      if (symbols[j] != 0)
-        f.axpy(msg.payload.data(),
-               chunks_.data() + (start + j) * chunk_bytes_, symbols[j],
-               params_.m);
-    }
-    info_.message_digests.emplace(candidate, msg.digest());
-    ++generated_;
-    return msg;
-  }
+  return std::move(generate(1).front());
 }
 
 std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
-  std::vector<EncodedMessage> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(next_message());
+  // Phase 1, on the calling thread: screen ids in order and allocate every
+  // payload.  Payloads allocated inside pool jobs would come from the
+  // workers' own malloc arenas and raise peak RSS.
+  std::vector<EncodedMessage> out(count);
+  std::vector<std::vector<std::uint64_t>> rows(count);
+  std::vector<std::vector<std::size_t>> by_class(map_.classes());
+  for (std::size_t i = 0; i < count; ++i) {
+    std::size_t cls = 0;
+    for (;;) {
+      const std::uint64_t candidate = next_id_++;
+      cls = map_.class_of(candidate);
+      const std::size_t w = map_.width(cls);
+      rows[i] = coeffs_.row_symbols(candidate);
+      if (!batch_rank_[cls].add_row(std::span(rows[i]).first(w)))
+        continue;  // dependent; skip this id
+      if (batch_rank_[cls].full())
+        batch_rank_[cls] = linalg::IncrementalRank(params_.field, w);
+      out[i].message_id = candidate;
+      break;
+    }
+    out[i].file_id = info_.file_id;
+    out[i].payload.assign(chunk_bytes_, std::byte{0});
+    by_class[cls].push_back(i);
+  }
+
+  // Phase 2: blocks of up to kBlockMessages messages of one class.  For
+  // each tile of the row, a block applies every source chunk of its class
+  // window to all its destination tiles, so the window streams from
+  // memory once per block and the destination tiles stay in cache.
+  struct Block {
+    std::size_t cls;
+    std::span<const std::size_t> members;
+  };
+  std::vector<Block> blocks;
+  for (std::size_t c = 0; c < by_class.size(); ++c)
+    for (std::size_t b = 0; b < by_class[c].size(); b += kBlockMessages)
+      blocks.push_back(
+          {c, std::span(by_class[c])
+                  .subspan(b, std::min(kBlockMessages,
+                                       by_class[c].size() - b))});
+  const auto& f = gf::field_view(params_.field);
+  const std::size_t tile = kTileBytes * 8 / f.bits;  // symbols per tile
+  std::vector<crypto::Md5Digest> digests(count);
+  const auto encode_block = [&](std::size_t b) {
+    const Block& block = blocks[b];
+    const std::byte* window =
+        chunks_.data() + map_.start(block.cls) * chunk_bytes_;
+    const std::size_t w = map_.width(block.cls);
+    for (std::size_t first = 0; first < params_.m; first += tile) {
+      const std::size_t n = std::min(tile, params_.m - first);
+      const std::size_t offset = f.row_bytes(first);  // first is even: exact
+      for (std::size_t j = 0; j < w; ++j) {
+        const std::byte* src = window + j * chunk_bytes_ + offset;
+        for (std::size_t i : block.members)
+          if (rows[i][j] != 0)
+            f.axpy(out[i].payload.data() + offset, src, rows[i][j], n);
+      }
+    }
+    for (std::size_t i : block.members) digests[i] = out[i].digest();
+  };
+  if (blocks.size() > 1) {
+    if (!pool_) pool_ = std::make_unique<util::ThreadPool>(0);
+    pool_->parallel_for(blocks.size(), encode_block);
+  } else if (!blocks.empty()) {
+    encode_block(0);
+  }
+
+  // Phase 3: digests enter info_ in id order, as per-message encoding
+  // would record them.
+  for (std::size_t i = 0; i < count; ++i)
+    info_.message_digests.emplace(out[i].message_id, digests[i]);
+  generated_ += count;
   return out;
 }
 

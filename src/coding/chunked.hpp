@@ -31,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -95,6 +96,9 @@ class ClassMap {
 /// i covers only the chunks of class_of(i); rows are screened for linear
 /// independence per class in batches of the class width, skipping
 /// dependent ids just like the dense encoder so ids stay plain data.
+///
+/// Not thread-safe: one caller at a time.  generate() fans its work over a
+/// pool the encoder owns, created on first use.
 class Encoder {
  public:
   Encoder(const SecretKey& secret, std::uint64_t file_id,
@@ -110,7 +114,19 @@ class Encoder {
   const CodingParams& params() const { return params_; }
 
   /// Next screened message; deterministic like FileEncoder::next_message.
+  /// The one-message case of generate(), run on the calling thread.
   EncodedMessage next_message();
+
+  /// The next `count` screened messages, in id order.  Ids are screened
+  /// on the calling thread, which also allocates every payload.  The
+  /// messages are then grouped by class into blocks of up to 8: every
+  /// message of a class draws on the same window of chunks, so a block
+  /// streams that window once instead of once per message, walking rows
+  /// in tiles so the block's destination tiles stay cached.  Blocks and
+  /// their digests run on the encoder's pool (a single block runs inline),
+  /// and digests are recorded in id order after the barrier.  Ids,
+  /// payloads, digests and info() are identical to calling next_message()
+  /// `count` times.
   std::vector<EncodedMessage> generate(std::size_t count);
 
   std::uint64_t ids_examined() const { return next_id_; }
@@ -127,6 +143,7 @@ class Encoder {
   std::vector<linalg::IncrementalRank> batch_rank_;  // one per class
   std::uint64_t next_id_ = 0;
   std::uint64_t generated_ = 0;
+  std::unique_ptr<util::ThreadPool> pool_;  // hardware_concurrency, lazy
 };
 
 /// Per-class progressive decoder with cross-class back-substitution.

@@ -1,19 +1,29 @@
 // Overlapping-class codec (coding/chunked.hpp): class-map geometry and
 // schedule invariants, bit-exact agreement with the dense codec, the
 // donation cascade under in-order / shuffled / recoded delivery, batch
-// parallelism parity, and the registry wiring for the chunked metrics.
+// parallelism parity, the registry wiring for the chunked metrics, and
+// byte-for-byte encoder goldens.
+//
+// Regenerate the encoder goldens (tests/coding/golden) after an
+// intentional change with
+//   FAIRSHARE_REGEN_GOLDEN=1 ./coding_chunked_test
+// and review the diff before committing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "coding/chunked.hpp"
 #include "coding/codec.hpp"
 #include "coding/decoder.hpp"
 #include "coding/encoder.hpp"
+#include "golden.hpp"
 #include "obs/metrics.hpp"
+#include "p2p/wire.hpp"
 #include "sim/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -267,6 +277,94 @@ INSTANTIATE_TEST_SUITE_P(
         GeometryCase{gf::FieldId::gf2_8, 64, 640, 16, 4},
         // Nibble-packed field, tiny classes.
         GeometryCase{gf::FieldId::gf2_4, 128, 4000, 8, 2}));
+
+// -------------------------------------------------------------- goldens
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  char buf[3];
+  for (std::uint8_t b : bytes) {
+    std::snprintf(buf, sizeof buf, "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+// Every message's id and wire digest (which covers file id, id and
+// payload) in generation order, then the serialized FileInfo.  The calls
+// mix generate(1), next_message(), generate(7) and a generate(2k) that
+// runs through a per-class rank reset, so a change to screening, to the
+// order messages come out in, or to the digest bookkeeping shows up as a
+// diff.  FileInfo serializes an unordered_map, so its bytes also pin the
+// order digests were recorded in; like the ledger goldens they hold for
+// one platform (x86-64, libstdc++).
+std::string encoder_transcript(const GeometryCase& c) {
+  const CodingParams params{c.field, c.m};
+  const auto data = random_data(c.data_bytes, 12);
+  chunked::Encoder encoder(secret(12), 49, data, params,
+                           schedule(c.class_size, c.overlap));
+  const chunked::ClassMap& map = encoder.class_map();
+  std::vector<EncodedMessage> messages;
+  const auto take = [&](std::vector<EncodedMessage> batch) {
+    for (auto& msg : batch) messages.push_back(std::move(msg));
+  };
+  const auto class0_count = [&] {
+    return std::count_if(messages.begin(), messages.end(), [&](const auto& m) {
+      return map.class_of(m.message_id) == 0;
+    });
+  };
+
+  take(encoder.generate(1));
+  messages.push_back(encoder.next_message());
+  take(encoder.generate(7));
+  // Class 0's rank resets once it has accepted width(0) rows; the long
+  // call must produce rows on both sides of that reset.
+  const auto before = static_cast<std::size_t>(class0_count());
+  take(encoder.generate(2 * encoder.k()));
+  const auto after = static_cast<std::size_t>(class0_count());
+  EXPECT_LT(before, map.width(0));
+  EXPECT_GT(after, map.width(0));
+  messages.push_back(encoder.next_message());
+  EXPECT_EQ(encoder.messages_generated(), messages.size());
+
+  std::string out = "field_bits " + std::to_string(gf::field_bits(c.field)) +
+                    " m " + std::to_string(c.m) + " bytes " +
+                    std::to_string(c.data_bytes) + " classes " +
+                    std::to_string(c.class_size) + "/" +
+                    std::to_string(c.overlap) + " k " +
+                    std::to_string(encoder.k()) + " ids_examined " +
+                    std::to_string(encoder.ids_examined()) + "\n";
+  for (const auto& msg : messages) {
+    EXPECT_EQ(msg.payload.size(), params.message_bytes());
+    out += std::to_string(msg.message_id) + " " + hex(msg.digest()) + "\n";
+  }
+  const auto info = p2p::wire::encode(encoder.info());
+  const std::string info_hex = hex(std::span(
+      reinterpret_cast<const std::uint8_t*>(info.data()), info.size()));
+  out += "file_info " + std::to_string(info.size()) + " bytes\n";
+  for (std::size_t i = 0; i < info_hex.size(); i += 64)
+    out += info_hex.substr(i, 64) + "\n";
+  return out;
+}
+
+std::string golden_name(const GeometryCase& c) {
+  return "encoder_q" + std::to_string(gf::field_bits(c.field)) + "_m" +
+         std::to_string(c.m) + "_b" + std::to_string(c.data_bytes) + "_c" +
+         std::to_string(c.class_size) + "_" + std::to_string(c.overlap) +
+         ".txt";
+}
+
+TEST_P(ChunkedGeometryTest, EncoderMatchesGolden) {
+  golden::compare_golden(encoder_transcript(GetParam()),
+                         golden_name(GetParam()));
+}
+
+TEST(Chunked, MultiClassWideFieldEncoderMatchesGolden) {
+  // Three 64/8 classes over GF(2^32) with 80000-byte rows, which span more
+  // than one of generate()'s 64 KiB tiles and end in a partial one.
+  const GeometryCase c{gf::FieldId::gf2_32, 20000, 12u << 20, 64, 8};
+  golden::compare_golden(encoder_transcript(c), golden_name(c));
+}
 
 // ------------------------------------------------------------ recoding
 

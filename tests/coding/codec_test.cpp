@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "coding/decoder.hpp"
@@ -29,6 +31,21 @@ struct CodecCase {
   std::size_t m;
   std::size_t data_bytes;
 };
+
+std::string label(const CodecCase& c) {
+  std::string name = "q";
+  name += std::to_string(gf::field_bits(c.field));
+  name += 'm';
+  name += std::to_string(c.m);
+  name += 'b';
+  name += std::to_string(c.data_bytes);
+  return name;
+}
+
+// CTest names each case by gtest's print of its parameter.  Without this,
+// gtest prints the struct's raw bytes, padding after `field` included, and
+// the names change from build to build.
+void PrintTo(const CodecCase& c, std::ostream* os) { *os << label(c); }
 
 class CodecTest : public ::testing::TestWithParam<CodecCase> {};
 
@@ -81,13 +98,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CodecCase{gf::FieldId::gf2_32, 32, 2000},
                       CodecCase{gf::FieldId::gf2_32, 64, 40000},
                       CodecCase{gf::FieldId::gf2_8, 64, 1}),
-    [](const auto& info) {
-      std::string name = "q";
-      name += std::to_string(gf::field_bits(info.param.field));
-      name += "m" + std::to_string(info.param.m);
-      name += "b" + std::to_string(info.param.data_bytes);
-      return name;
-    });
+    [](const auto& info) { return label(info.param); });
 
 TEST(Codec, WrongSecretProducesGarbage) {
   // Security (Section III-C): without the right secret the coefficient

@@ -7,21 +7,18 @@
 // and review the diff before committing.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 
+#include "golden.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-
-#ifndef OBS_GOLDEN_DIR
-#define OBS_GOLDEN_DIR "."
-#endif
 
 namespace {
 
 using namespace fairshare;
+using golden::compare_golden;
+using golden::read_file;
 
 /// A registry whose exporter output is fully deterministic: fixed counter
 /// and gauge values, fixed histogram samples, and spans pushed with pinned
@@ -53,26 +50,6 @@ void fill_registry(obs::MetricsRegistry& reg) {
   b.duration_ns = 200;
   b.name = "inner";
   reg.spans().push(b);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-void compare_golden(const std::string& actual, const std::string& file) {
-  const std::string path = std::string(OBS_GOLDEN_DIR) + "/" + file;
-  if (std::getenv("FAIRSHARE_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  const std::string expected = read_file(path);
-  ASSERT_FALSE(expected.empty()) << "missing golden " << path;
-  EXPECT_EQ(actual, expected) << "exporter output drifted from " << path
-                              << "; regenerate deliberately if intended";
 }
 
 TEST(Export, JsonMatchesGolden) {

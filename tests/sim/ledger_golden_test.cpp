@@ -22,14 +22,14 @@
 #include "coding/params.hpp"
 #include "net/replay_driver.hpp"
 #include "sim/federation.hpp"
-#include "sim/golden.hpp"
+#include "golden.hpp"
 #include "sim/replay.hpp"
 #include "sim/workload.hpp"
 
 namespace {
 
 using namespace fairshare;
-using sim_test::compare_golden;
+using golden::compare_golden;
 
 // The replay_agreement_test geometry: 3 users, 12-slot horizon, 20000-byte
 // files at 8 Mbit/s in 50 ms slots over GF(2^32) 1 KiB messages.

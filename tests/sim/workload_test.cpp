@@ -13,7 +13,7 @@
 
 #include <string>
 
-#include "sim/golden.hpp"
+#include "golden.hpp"
 #include "sim/workload.hpp"
 
 #ifndef SIM_DATA_DIR
@@ -28,7 +28,7 @@ std::string data_path(const std::string& file) {
   return std::string(SIM_DATA_DIR) + "/" + file;
 }
 
-using sim_test::compare_golden;
+using golden::compare_golden;
 
 // ---------------------------------------------------------------- schema
 

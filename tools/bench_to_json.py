@@ -65,10 +65,13 @@ def condense_entries(doc):
             entry["kernel"] = b["label"]
         # Selected user counters worth committing: problem size (k), the
         # chunked-decode suite's class count / messages consumed / reception
-        # overhead (the last is an acceptance number in its own right), and
-        # the federation suite's scale axes — server count, session pool,
+        # overhead (the last is an acceptance number in its own right),
+        # BM_Encode's ms per coded MB and its stage split, and the
+        # federation suite's scale axes — server count, session pool,
         # sessions per core, and the DHT resolve hop count.
         for counter in ("k", "classes", "consumed", "overhead_pct",
+                        "ms_per_MB", "screen_ms_per_MB", "payload_ms_per_MB",
+                        "digest_ms_per_MB", "blocks_ms_per_MB",
                         "servers", "sessions", "sessions_per_core",
                         "resolve_hops", "downloads_failed"):
             if counter in b:
