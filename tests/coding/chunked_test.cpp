@@ -290,6 +290,25 @@ std::string hex(std::span<const std::uint8_t> bytes) {
   return out;
 }
 
+// The header line, every message's id and wire digest in generation
+// order, then the serialized FileInfo as 32-byte hex lines.
+std::string render_transcript(const std::string& header,
+                              const std::vector<EncodedMessage>& messages,
+                              const FileInfo& info) {
+  std::string out = header + "\n";
+  for (const auto& msg : messages) {
+    EXPECT_EQ(msg.payload.size(), info.params.message_bytes());
+    out += std::to_string(msg.message_id) + " " + hex(msg.digest()) + "\n";
+  }
+  const auto frame = p2p::wire::encode(info);
+  const std::string info_hex = hex(std::span(
+      reinterpret_cast<const std::uint8_t*>(frame.data()), frame.size()));
+  out += "file_info " + std::to_string(frame.size()) + " bytes\n";
+  for (std::size_t i = 0; i < info_hex.size(); i += 64)
+    out += info_hex.substr(i, 64) + "\n";
+  return out;
+}
+
 // Every message's id and wire digest (which covers file id, id and
 // payload) in generation order, then the serialized FileInfo.  The calls
 // mix generate(1), next_message(), generate(7) and a generate(2k) that
@@ -327,24 +346,13 @@ std::string encoder_transcript(const GeometryCase& c) {
   messages.push_back(encoder.next_message());
   EXPECT_EQ(encoder.messages_generated(), messages.size());
 
-  std::string out = "field_bits " + std::to_string(gf::field_bits(c.field)) +
-                    " m " + std::to_string(c.m) + " bytes " +
-                    std::to_string(c.data_bytes) + " classes " +
-                    std::to_string(c.class_size) + "/" +
-                    std::to_string(c.overlap) + " k " +
-                    std::to_string(encoder.k()) + " ids_examined " +
-                    std::to_string(encoder.ids_examined()) + "\n";
-  for (const auto& msg : messages) {
-    EXPECT_EQ(msg.payload.size(), params.message_bytes());
-    out += std::to_string(msg.message_id) + " " + hex(msg.digest()) + "\n";
-  }
-  const auto info = p2p::wire::encode(encoder.info());
-  const std::string info_hex = hex(std::span(
-      reinterpret_cast<const std::uint8_t*>(info.data()), info.size()));
-  out += "file_info " + std::to_string(info.size()) + " bytes\n";
-  for (std::size_t i = 0; i < info_hex.size(); i += 64)
-    out += info_hex.substr(i, 64) + "\n";
-  return out;
+  return render_transcript(
+      "field_bits " + std::to_string(gf::field_bits(c.field)) + " m " +
+          std::to_string(c.m) + " bytes " + std::to_string(c.data_bytes) +
+          " classes " + std::to_string(c.class_size) + "/" +
+          std::to_string(c.overlap) + " k " + std::to_string(encoder.k()) +
+          " ids_examined " + std::to_string(encoder.ids_examined()),
+      messages, encoder.info());
 }
 
 std::string golden_name(const GeometryCase& c) {
@@ -364,6 +372,100 @@ TEST(Chunked, MultiClassWideFieldEncoderMatchesGolden) {
   // than one of generate()'s 64 KiB tiles and end in a partial one.
   const GeometryCase c{gf::FieldId::gf2_32, 20000, 12u << 20, 64, 8};
   golden::compare_golden(encoder_transcript(c), golden_name(c));
+}
+
+// The paper's dense code (no class schedule) at three geometries: a
+// nibble field with odd k, whose screening skips ids; the photos
+// workload's GF(2^8), m = 4096; and the paper's defaults (GF(2^32),
+// m = 2^15, k = 8 for 1 MB).  Same call sequence as encoder_transcript.
+struct DenseCase {
+  gf::FieldId field;
+  std::size_t m;
+  std::size_t data_bytes;
+};
+
+const DenseCase kDenseCases[] = {
+    {gf::FieldId::gf2_4, 64, 660},        // k = 21, one id screened out
+    {gf::FieldId::gf2_8, 4096, 100000},   // k = 25, padded tail
+    {gf::FieldId::gf2_32, 1u << 15, 1u << 20},  // k = 8
+};
+
+std::string dense_name(const DenseCase& c) {
+  return "encoder_q" + std::to_string(gf::field_bits(c.field)) + "_m" +
+         std::to_string(c.m) + "_b" + std::to_string(c.data_bytes) +
+         "_dense.txt";
+}
+
+std::string dense_transcript(const DenseCase& c) {
+  const CodingParams params{c.field, c.m};
+  const auto data = random_data(c.data_bytes, 12);
+  FileEncoder encoder(secret(12), 49, data, params);
+  EXPECT_EQ(encoder.info().codec, CodecKind::dense);
+  std::vector<EncodedMessage> messages;
+  const auto take = [&](std::vector<EncodedMessage> batch) {
+    for (auto& msg : batch) messages.push_back(std::move(msg));
+  };
+  take(encoder.generate(1));
+  messages.push_back(encoder.next_message());
+  take(encoder.generate(7));
+  take(encoder.generate(2 * encoder.k()));  // crosses a rank reset
+  messages.push_back(encoder.next_message());
+  EXPECT_EQ(encoder.messages_generated(), messages.size());
+
+  return render_transcript(
+      "field_bits " + std::to_string(gf::field_bits(c.field)) + " m " +
+          std::to_string(c.m) + " bytes " + std::to_string(c.data_bytes) +
+          " dense k " + std::to_string(encoder.k()) + " ids_examined " +
+          std::to_string(encoder.ids_examined()),
+      messages, encoder.info());
+}
+
+TEST(Dense, EncoderMatchesGolden) {
+  for (const DenseCase& c : kDenseCases) {
+    SCOPED_TRACE(dense_name(c));
+    golden::compare_golden(dense_transcript(c), dense_name(c));
+  }
+}
+
+// A dense FileInfo frame as written before the codecs were unified (no
+// codec trailer, digests in the order the old encoder recorded them).  It
+// must still authenticate and decode the messages the encoder produces
+// today from the same inputs.
+TEST(Dense, DecodesStoredDenseFileInfoFrame) {
+  const DenseCase c = kDenseCases[1];
+  const std::string text = golden::read_file(
+      std::string(GOLDEN_DIR) + "/dense_q8_m4096_b100000_file_info.txt");
+  ASSERT_FALSE(text.empty());
+  const std::size_t eol = text.find('\n');
+  ASSERT_NE(eol, std::string::npos);
+  std::string digits;
+  for (char ch : text.substr(eol + 1))
+    if (ch != '\n') digits += ch;
+  std::vector<std::byte> frame;
+  for (std::size_t i = 0; i + 1 < digits.size(); i += 2)
+    frame.push_back(
+        static_cast<std::byte>(std::stoi(digits.substr(i, 2), nullptr, 16)));
+  ASSERT_EQ(text.substr(0, text.find('\n')),
+            "file_info " + std::to_string(frame.size()) + " bytes");
+
+  const auto info = p2p::wire::decode_file_info(frame);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->codec, CodecKind::dense);
+  EXPECT_EQ(info->k, 25u);
+
+  const CodingParams params{c.field, c.m};
+  const auto data = random_data(c.data_bytes, 12);
+  FileEncoder encoder(secret(12), 49, data, params);
+  const auto messages = encoder.generate(2 * encoder.k());
+  FileDecoder decoder(secret(12), *info);  // the frame's digests only
+  for (const auto& msg : messages) {
+    if (decoder.complete()) break;
+    EXPECT_EQ(decoder.add(msg), AddResult::accepted) << msg.message_id;
+  }
+  ASSERT_TRUE(decoder.complete());
+  EXPECT_EQ(decoder.rejected_auth(), 0u);
+  EXPECT_EQ(decoder.reconstruct(), data);
+  EXPECT_EQ(crypto::Md5::hash(data), info->content_digest);
 }
 
 // ------------------------------------------------------------ recoding
