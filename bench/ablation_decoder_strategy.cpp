@@ -11,8 +11,7 @@
 #include <vector>
 
 #include "coding/batch_decoder.hpp"
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "common.hpp"
 #include "sim/rng.hpp"
 

@@ -11,8 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "coding/fountain.hpp"
 #include "common.hpp"
 #include "sim/rng.hpp"

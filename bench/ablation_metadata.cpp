@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "coding/merkle_auth.hpp"
 #include "common.hpp"
 #include "sim/rng.hpp"

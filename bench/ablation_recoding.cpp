@@ -11,8 +11,7 @@
 #include <set>
 #include <vector>
 
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "coding/recoding.hpp"
 #include "common.hpp"
 #include "sim/rng.hpp"
@@ -77,11 +76,13 @@ Trial run_trial(std::size_t n_peers, std::size_t store_frac_num,
     t.verbatim_done = dec.complete();
   }
   {
-    coding::Recoder recoder(kParams);
+    // A dense file is one class, so a class-0 recode combines the whole
+    // store.
     coding::FileDecoder dec(secret, encoder.info(), false);
     while (!dec.complete() && t.recoded_sent < 10 * k) {
       for (std::size_t p = 0; p < n_peers && !dec.complete(); ++p) {
-        dec.add_recoded(recoder.recode(stores[p], rng));
+        dec.add_recoded(coding::chunked::recode_class_local(
+            encoder.class_map(), 0, stores[p], kParams, rng));
         ++t.recoded_sent;
       }
     }

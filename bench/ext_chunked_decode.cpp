@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "coding/chunked.hpp"
-#include "coding/decoder.hpp"
 #include "coding/params.hpp"
 #include "sim/rng.hpp"
 

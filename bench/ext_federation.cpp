@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "disco/client.hpp"
 #include "disco/node.hpp"
 #include "net/download_client.hpp"

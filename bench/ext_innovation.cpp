@@ -9,8 +9,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "coding/chunked.hpp"
 #include "coding/coefficients.hpp"
-#include "coding/encoder.hpp"
 #include "common.hpp"
 #include "linalg/progressive.hpp"
 #include "sim/rng.hpp"

@@ -10,8 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "common.hpp"
 #include "sim/rng.hpp"
 #include "util/thread_pool.hpp"

@@ -22,7 +22,7 @@
 #include <thread>
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "common.hpp"
 #include "net/peer_server.hpp"
 #include "p2p/wire.hpp"

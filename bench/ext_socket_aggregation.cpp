@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "common.hpp"
 #include "net/download_client.hpp"
 #include "net/peer_server.hpp"

@@ -18,8 +18,6 @@
 #include <vector>
 
 #include "coding/chunked.hpp"
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
 #include "common.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/md5.hpp"

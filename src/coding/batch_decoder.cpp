@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "coding/chunked.hpp"
 #include "linalg/matrix.hpp"
 
 namespace fairshare::coding {
@@ -19,14 +18,8 @@ AddResult BatchDecoder::add(const EncodedMessage& message) {
   if (message.file_id != info_.file_id) return AddResult::wrong_file;
   if (message.payload.size() != info_.params.message_bytes())
     return AddResult::bad_size;
-  if (require_digests_ || !info_.message_digests.empty()) {
-    const auto it = info_.message_digests.find(message.message_id);
-    if (it == info_.message_digests.end()) {
-      if (require_digests_) return AddResult::bad_digest;
-    } else if (message.digest() != it->second) {
-      return AddResult::bad_digest;
-    }
-  }
+  if (!authentic(info_, message, require_digests_))
+    return AddResult::bad_digest;
   const bool duplicate = std::any_of(
       messages_.begin(), messages_.end(), [&](const EncodedMessage& m) {
         return m.message_id == message.message_id;

@@ -4,7 +4,7 @@
 // this by the inverse of the appropriate square sub-matrix of the
 // coefficient matrix".  This decoder does exactly that — collect k
 // messages, invert the k x k coefficient sub-matrix (O(k^3)), multiply it
-// into the payload matrix (O(m k^2)) — in contrast to FileDecoder's
+// into the payload matrix (O(m k^2)) — in contrast to chunked::Decoder's
 // progressive elimination, which folds messages in as they arrive and
 // stops at rank k without a separate inversion pass.
 //
@@ -17,8 +17,8 @@
 #include <optional>
 #include <vector>
 
+#include "coding/chunked.hpp"
 #include "coding/coefficients.hpp"
-#include "coding/decoder.hpp"
 #include "coding/message.hpp"
 #include "obs/metrics.hpp"
 
@@ -29,7 +29,7 @@ class BatchDecoder {
   BatchDecoder(const SecretKey& secret, const FileInfo& info,
                bool require_digests = true);
 
-  /// Buffer a message (authenticated like FileDecoder).  Returns the same
+  /// Buffer a message (authenticated like chunked::Decoder).  Returns the same
   /// AddResult vocabulary; `accepted` here means "buffered", since linear
   /// independence is only discovered at decode time.
   AddResult add(const EncodedMessage& message);

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <deque>
 
-#include "coding/decoder.hpp"  // AddResult
 #include "linalg/parallel_ops.hpp"
 #include "obs/trace.hpp"
 #include "sim/rng.hpp"
@@ -69,6 +68,22 @@ ClassMap::ClassMap(std::size_t k, const ChunkedSchedule& schedule)
   }
 }
 
+namespace {
+
+// The schedule that makes a dense file one class of width k.
+ChunkedSchedule one_class(std::size_t k) {
+  ChunkedSchedule s;
+  s.class_size = static_cast<std::uint32_t>(std::max<std::size_t>(k, 2));
+  s.overlap = 0;
+  return s;
+}
+
+}  // namespace
+
+ClassMap::ClassMap(const FileInfo& info)
+    : ClassMap(info.k, info.codec == CodecKind::chunked ? info.schedule
+                                                        : one_class(info.k)) {}
+
 std::vector<std::size_t> ClassMap::classes_containing(std::size_t j) const {
   assert(j < k_);
   std::vector<std::size_t> out;
@@ -97,33 +112,51 @@ namespace {
 constexpr std::size_t kBlockMessages = 8;
 constexpr std::size_t kTileBytes = 64 * 1024;
 
+FileInfo describe(std::uint64_t file_id, std::span<const std::byte> data,
+                  const CodingParams& params, CodecKind codec,
+                  const ChunkedSchedule& schedule) {
+  FileInfo info;
+  info.file_id = file_id;
+  info.original_bytes = data.size();
+  info.params = params;
+  info.k = chunks_for_bytes(data.size(), params);
+  info.codec = codec;
+  if (codec == CodecKind::chunked) info.schedule = schedule;
+  info.content_digest = crypto::Md5::hash(data);
+  return info;
+}
+
 }  // namespace
+
+Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
+                 std::span<const std::byte> data, const CodingParams& params)
+    : Encoder(secret, describe(file_id, data, params, CodecKind::dense, {}),
+              data) {}
 
 Encoder::Encoder(const SecretKey& secret, std::uint64_t file_id,
                  std::span<const std::byte> data, const CodingParams& params,
                  const ChunkedSchedule& schedule)
-    : secret_(secret),
-      params_(params),
-      map_(chunks_for_bytes(data.size(), params), schedule),
-      chunk_bytes_(params.message_bytes()),
-      coeffs_(secret, file_id, params, map_.max_width()) {
-  assert((params.field != gf::FieldId::gf2_4 || params.m % 2 == 0) &&
+    : Encoder(secret,
+              describe(file_id, data, params, CodecKind::chunked, schedule),
+              data) {}
+
+Encoder::Encoder(const SecretKey& secret, FileInfo info,
+                 std::span<const std::byte> data)
+    : info_(std::move(info)),
+      map_(info_),
+      chunk_bytes_(info_.params.message_bytes()),
+      coeffs_(secret, info_.file_id, info_.params, map_.max_width()) {
+  assert((info_.params.field != gf::FieldId::gf2_4 || info_.params.m % 2 == 0) &&
          "GF(2^4) requires even m for byte-aligned chunks");
 
+  // Lay the file out as k chunks of m packed symbols; the packed wire
+  // representation is plain little-endian bytes, so this is a copy + pad.
   chunks_.assign(map_.k() * chunk_bytes_, std::byte{0});
   std::memcpy(chunks_.data(), data.data(), data.size());
 
-  info_.file_id = file_id;
-  info_.original_bytes = data.size();
-  info_.params = params;
-  info_.k = map_.k();
-  info_.codec = CodecKind::chunked;
-  info_.schedule = schedule;
-  info_.content_digest = crypto::Md5::hash(data);
-
   batch_rank_.reserve(map_.classes());
   for (std::size_t c = 0; c < map_.classes(); ++c)
-    batch_rank_.emplace_back(params.field, map_.width(c));
+    batch_rank_.emplace_back(info_.params.field, map_.width(c));
 }
 
 EncodedMessage Encoder::next_message() {
@@ -147,7 +180,7 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
       if (!batch_rank_[cls].add_row(std::span(rows[i]).first(w)))
         continue;  // dependent; skip this id
       if (batch_rank_[cls].full())
-        batch_rank_[cls] = linalg::IncrementalRank(params_.field, w);
+        batch_rank_[cls] = linalg::IncrementalRank(info_.params.field, w);
       out[i].message_id = candidate;
       break;
     }
@@ -171,7 +204,7 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
           {c, std::span(by_class[c])
                   .subspan(b, std::min(kBlockMessages,
                                        by_class[c].size() - b))});
-  const auto& f = gf::field_view(params_.field);
+  const auto& f = gf::field_view(info_.params.field);
   const std::size_t tile = kTileBytes * 8 / f.bits;  // symbols per tile
   std::vector<crypto::Md5Digest> digests(count);
   const auto encode_block = [&](std::size_t b) {
@@ -179,8 +212,8 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
     const std::byte* window =
         chunks_.data() + map_.start(block.cls) * chunk_bytes_;
     const std::size_t w = map_.width(block.cls);
-    for (std::size_t first = 0; first < params_.m; first += tile) {
-      const std::size_t n = std::min(tile, params_.m - first);
+    for (std::size_t first = 0; first < info_.params.m; first += tile) {
+      const std::size_t n = std::min(tile, info_.params.m - first);
       const std::size_t offset = f.row_bytes(first);  // first is even: exact
       for (std::size_t j = 0; j < w; ++j) {
         const std::byte* src = window + j * chunk_bytes_ + offset;
@@ -192,8 +225,8 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
     for (std::size_t i : block.members) digests[i] = out[i].digest();
   };
   if (blocks.size() > 1) {
-    if (!pool_) pool_ = std::make_unique<util::ThreadPool>(0);
-    pool_->parallel_for(blocks.size(), encode_block);
+    util::ThreadPool pool(0);
+    pool.parallel_for(blocks.size(), encode_block);
   } else if (!blocks.empty()) {
     encode_block(0);
   }
@@ -212,9 +245,8 @@ Decoder::Decoder(const SecretKey& secret, const FileInfo& info,
                  bool require_digests)
     : info_(info),
       require_digests_(require_digests),
-      map_(info.k, info.schedule),
+      map_(info),
       coeffs_(secret, info.file_id, info.params, map_.max_width()) {
-  assert(info.codec == CodecKind::chunked);
   classes_.reserve(map_.classes());
   for (std::size_t c = 0; c < map_.classes(); ++c)
     classes_.push_back(ClassState{
@@ -241,7 +273,8 @@ bool Decoder::eliminate(std::size_t cls,
   const bool innovative = st.solver.add_row(symbols, payload);
   if (eliminate_ns_) {
     eliminate_ns_->record(obs::monotonic_ns() - t0);
-    class_rank_[cls]->set(static_cast<double>(st.solver.rank()));
+    if (!class_rank_.empty())
+      class_rank_[cls]->set(static_cast<double>(st.solver.rank()));
   }
   return innovative;
 }
@@ -291,17 +324,9 @@ AddResult Decoder::add(const EncodedMessage& message) {
   if (message.payload.size() != info_.params.message_bytes())
     return AddResult::bad_size;
 
-  if (require_digests_ || !info_.message_digests.empty()) {
-    const auto it = info_.message_digests.find(message.message_id);
-    if (it == info_.message_digests.end()) {
-      if (require_digests_) {
-        ++rejected_auth_;
-        return AddResult::bad_digest;
-      }
-    } else if (message.digest() != it->second) {
-      ++rejected_auth_;
-      return AddResult::bad_digest;
-    }
+  if (!authentic(info_, message, require_digests_)) {
+    ++rejected_auth_;
+    return AddResult::bad_digest;
   }
 
   const std::size_t cls = map_.class_of(message.message_id);
@@ -392,17 +417,9 @@ void Decoder::add_many(std::span<const EncodedMessage> messages,
   const auto process_class = [&](std::size_t cls, Tally& tally) {
     for (std::size_t i : by_class[cls]) {
       const EncodedMessage& msg = messages[i];
-      if (require_digests_ || !info_.message_digests.empty()) {
-        const auto it = info_.message_digests.find(msg.message_id);
-        if (it == info_.message_digests.end()) {
-          if (require_digests_) {
-            ++tally.rejected_auth;
-            continue;
-          }
-        } else if (msg.digest() != it->second) {
-          ++tally.rejected_auth;
-          continue;
-        }
+      if (!authentic(info_, msg, require_digests_)) {
+        ++tally.rejected_auth;
+        continue;
       }
       if (classes_[cls].complete || classes_[cls].solver.complete()) {
         ++tally.non_innovative;
@@ -466,10 +483,12 @@ void Decoder::enable_metrics(obs::MetricsRegistry& registry,
   const std::string file = std::to_string(info_.file_id);
   const std::string user = std::to_string(user_id);
   const obs::LabelList labels = {
-      {"file", file}, {"user", user}, {"codec", "chunked"}};
+      {"file", file}, {"user", user}, {"codec", to_string(info_.codec)}};
   rank_gauge_ = &registry.gauge("fairshare_decoder_rank", labels);
   eliminate_ns_ =
       &registry.histogram("fairshare_decoder_eliminate_ns", labels);
+  rank_gauge_->set(static_cast<double>(rank()));
+  if (info_.codec != CodecKind::chunked) return;
   classes_complete_total_ = &registry.counter(
       "fairshare_chunked_classes_complete_total", {{"file", file},
                                                    {"user", user}});
@@ -480,7 +499,6 @@ void Decoder::enable_metrics(obs::MetricsRegistry& registry,
         {{"file", file}, {"user", user}, {"class", std::to_string(c)}});
     class_rank_[c]->set(static_cast<double>(classes_[c].solver.rank()));
   }
-  rank_gauge_->set(static_cast<double>(rank()));
   classes_complete_total_->add(classes_complete_);
 }
 

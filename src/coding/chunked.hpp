@@ -1,18 +1,26 @@
-// Overlapping-class RLNC codec: near-linear decode for large files.
+// The RLNC codec: the paper's dense code and the overlapping-class code
+// in one implementation.
 //
-// Dense RLNC (encoder.hpp / decoder.hpp) pays O(k^2 * m) field operations
-// to decode a file of k chunks, which caps practical file sizes around the
-// point where k^2 swamps the SIMD kernels (a 1 GB file at the paper's
-// m = 32768, q = 2^32 has k = 8192 and decodes in minutes, not seconds).
-// Following the overlapping-class construction of Heidarzadeh-Banihashemi
-// (arXiv:0905.2796) and expander chunked codes (arXiv:1307.5664), this
-// codec draws every coded message over one small *class* of `class_size`
-// consecutive chunks; adjacent classes share `overlap` chunks.  Decoding
-// runs an independent progressive elimination per class — O(class_size^2)
-// rows of m symbols each, so total work is O(k * class_size * m): linear
-// in file size for fixed class geometry — and completed classes donate
-// their decoded overlap chunks to incomplete neighbours as unit rows, a
-// back-substitution cascade that rescues classes short on direct messages.
+// The paper's dense RLNC (Section III-A) draws every coefficient row over
+// all k chunks and pays O(k^2 * m) field operations to decode, which caps
+// practical file sizes around the point where k^2 swamps the SIMD kernels
+// (a 1 GB file at the paper's m = 32768, q = 2^32 has k = 8192 and decodes
+// in minutes, not seconds).  Following the overlapping-class construction
+// of Heidarzadeh-Banihashemi (arXiv:0905.2796) and expander chunked codes
+// (arXiv:1307.5664), a chunked file draws every coded message over one
+// small *class* of `class_size` consecutive chunks; adjacent classes share
+// `overlap` chunks.  Decoding runs an independent progressive elimination
+// per class — O(class_size^2) rows of m symbols each, so total work is
+// O(k * class_size * m): linear in file size for fixed class geometry —
+// and completed classes donate their decoded overlap chunks to incomplete
+// neighbours as unit rows, a back-substitution cascade that rescues
+// classes short on direct messages.
+//
+// A dense file is the one-class case: ClassMap gives it a single class of
+// width k, so every row spans the whole file, screening runs in batches of
+// k, and the encoder and decoder below are exactly the paper's (same ids,
+// payloads and digests).  FileEncoder, FileDecoder and CodecDecoder name
+// the same two classes.
 //
 // Reception overhead stays low because the class *schedule* is quota
 // weighted: within every period of k message ids, class c is visited
@@ -25,13 +33,12 @@
 // to finish.  The schedule is seeded and public (ChunkedSchedule travels
 // in FileInfo), so peers and recoders agree on every message's class
 // without holding the secret; coefficient *values* inside a class remain
-// secret-derived exactly as in the dense codec (coefficients.hpp), which
-// preserves the paper's secrecy argument unchanged.
+// secret-derived (coefficients.hpp), which preserves the paper's secrecy
+// argument unchanged.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,13 +47,20 @@
 #include "coding/recoding.hpp"
 #include "linalg/progressive.hpp"
 #include "obs/metrics.hpp"
+#include "sim/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fairshare::coding {
 
-// AddResult (decoder.hpp) is shared by both codecs so call sites switch on
-// one enum regardless of codec kind.
-enum class AddResult;
+/// Outcome of feeding one message to a decoder.
+enum class AddResult {
+  accepted,        ///< innovative; rank increased
+  non_innovative,  ///< authentic but linearly dependent on prior messages
+  bad_digest,      ///< failed MD5 authentication (or unknown message id)
+  wrong_file,      ///< file_id mismatch
+  bad_size,        ///< payload length does not match m
+  already_complete ///< decode finished; message ignored
+};
 
 namespace chunked {
 
@@ -56,6 +70,9 @@ namespace chunked {
 class ClassMap {
  public:
   ClassMap(std::size_t k, const ChunkedSchedule& schedule);
+  /// The map `info`'s messages were encoded under: its schedule for a
+  /// chunked file, a single class of width k for a dense one.
+  explicit ClassMap(const FileInfo& info);
 
   std::size_t k() const { return k_; }
   std::size_t classes() const { return widths_.size(); }
@@ -92,28 +109,39 @@ class ClassMap {
   std::vector<std::uint32_t> table_;  // period-k id -> class schedule
 };
 
-/// Drop-in sibling of FileEncoder producing class-local messages.  Message
-/// i covers only the chunks of class_of(i); rows are screened for linear
-/// independence per class in batches of the class width, skipping
-/// dependent ids just like the dense encoder so ids stay plain data.
+/// Produces the stream of coded messages a peer uploads during the
+/// initialization phase (Section III-A, Figure 2).  Message i is
+/// Y_i = sum_j beta_ij X_j over the chunks X_j of class_of(i), with the
+/// betas derived from the secret key.  Following the paper ("the encoding
+/// peer can guarantee that exactly k messages will suffice to decode a
+/// file by simply testing generated rows for linear independence"), rows
+/// are screened per class in batches of the class width by *skipping*
+/// dependent ids, so ids stay plain data the decoder can reuse.
 ///
-/// Not thread-safe: one caller at a time.  generate() fans its work over a
-/// pool the encoder owns, created on first use.
+/// Not thread-safe: one caller at a time.
 class Encoder {
  public:
+  /// The paper's dense code over `data` (zero-padded to k*m symbols):
+  /// one class of width k, info().codec == CodecKind::dense.  For
+  /// GF(2^4), m must be even so chunks stay byte-aligned.
+  Encoder(const SecretKey& secret, std::uint64_t file_id,
+          std::span<const std::byte> data, const CodingParams& params);
+  /// The overlapping-class code under `schedule` (info().codec ==
+  /// CodecKind::chunked, schedule filled in).
   Encoder(const SecretKey& secret, std::uint64_t file_id,
           std::span<const std::byte> data, const CodingParams& params,
           const ChunkedSchedule& schedule);
 
-  /// Metadata for decoding (codec = CodecKind::chunked, schedule filled
-  /// in); message_digests covers every message generated so far.
+  /// Metadata for decoding; message_digests covers every message
+  /// generated so far (grow it by generating, then hand it to users).
   const FileInfo& info() const { return info_; }
   const ClassMap& class_map() const { return map_; }
 
   std::size_t k() const { return map_.k(); }
-  const CodingParams& params() const { return params_; }
+  const CodingParams& params() const { return info_.params; }
 
-  /// Next screened message; deterministic like FileEncoder::next_message.
+  /// Next screened message.  Deterministic: the sequence of message ids
+  /// depends only on (secret, file_id, params, data length, schedule).
   /// The one-message case of generate(), run on the calling thread.
   EncodedMessage next_message();
 
@@ -122,40 +150,52 @@ class Encoder {
   /// messages are then grouped by class into blocks of up to 8: every
   /// message of a class draws on the same window of chunks, so a block
   /// streams that window once instead of once per message, walking rows
-  /// in tiles so the block's destination tiles stay cached.  Blocks and
-  /// their digests run on the encoder's pool (a single block runs inline),
-  /// and digests are recorded in id order after the barrier.  Ids,
-  /// payloads, digests and info() are identical to calling next_message()
-  /// `count` times.
+  /// in tiles so the block's destination tiles stay cached.  With more
+  /// than one block, blocks and their digests run on a pool that lives
+  /// for this call (a single block runs inline), and digests are recorded
+  /// in id order after the barrier.  Ids, payloads, digests and info()
+  /// are identical to calling next_message() `count` times.
   std::vector<EncodedMessage> generate(std::size_t count);
 
+  /// Message ids examined so far (accepted + skipped); the skip rate is
+  /// ~1/q per batch.
   std::uint64_t ids_examined() const { return next_id_; }
   std::uint64_t messages_generated() const { return generated_; }
 
  private:
-  SecretKey secret_;
-  CodingParams params_;
+  Encoder(const SecretKey& secret, FileInfo info,
+          std::span<const std::byte> data);
+
+  FileInfo info_;
   ClassMap map_;
   std::size_t chunk_bytes_;
   std::vector<std::byte> chunks_;  // k rows of m packed symbols
   CoefficientGenerator coeffs_;    // sized to max class width, truncated
-  FileInfo info_;
   std::vector<linalg::IncrementalRank> batch_rank_;  // one per class
   std::uint64_t next_id_ = 0;
   std::uint64_t generated_ = 0;
-  std::unique_ptr<util::ThreadPool> pool_;  // hardware_concurrency, lazy
 };
 
-/// Per-class progressive decoder with cross-class back-substitution.
+/// Collects coded messages from any mix of peers, regenerates their
+/// secret coefficient rows, and reconstructs the file once every class
+/// is complete (Section III-B); a dense file completes the moment k
+/// innovative messages have arrived.
 ///
-/// Each class owns a linalg::ProgressiveSolver over its window; incoming
-/// messages are authenticated (same digest policy as FileDecoder) and
-/// folded into their class's solver.  The moment a class completes, its
-/// decoded chunks inside every overlap region are donated to incomplete
-/// neighbouring classes as unit rows — effectively free back-substitution
-/// that propagates breadth-first until no more classes flip.
+/// Each class owns a linalg::ProgressiveSolver over its window.  When the
+/// FileInfo carries per-message MD5 digests, every incoming message is
+/// checked (coding::authentic) before it touches a solver, so a malicious
+/// peer "injecting fake messages into the network" (Section III-C) is
+/// rejected rather than corrupting the decode.  The moment a class
+/// completes, its decoded chunks inside every overlap region are donated
+/// to incomplete neighbouring classes as unit rows — effectively free
+/// back-substitution that propagates breadth-first until no more classes
+/// flip.
 class Decoder {
  public:
+  /// `require_digests`: when true (default), messages whose id has no
+  /// digest in `info` are rejected — the paper's download-time
+  /// authentication.  Set false only for experiments that model a user
+  /// who did not carry the digest table.
   Decoder(const SecretKey& secret, const FileInfo& info,
           bool require_digests = true);
 
@@ -164,8 +204,10 @@ class Decoder {
   /// Fold in a class-local recoded packet (every source id must map to
   /// one class; see recode_class_local).  A combination spanning classes
   /// cannot enter any class-local solver and is rejected as bad_digest —
-  /// under the chunked protocol it is malformed, and like all recoded
-  /// packets it carries no owner digest to vouch for it.
+  /// under the chunked protocol it is malformed.  NOTE: no per-message
+  /// digest check is possible — the owner never hashed this combination —
+  /// which is precisely why the paper's design forwards verbatim; callers
+  /// must verify the final content digest instead.
   AddResult add_recoded(const RecodedMessage& message);
 
   /// Decode a whole batch, fanning per-class elimination out over `pool`.
@@ -187,15 +229,21 @@ class Decoder {
   /// parallel_for is unsupported).
   void set_thread_pool(util::ThreadPool* pool);
 
-  /// Chunked-path observability (PR 4 registry pattern):
-  ///  * fairshare_decoder_rank{file,user,codec="chunked"} — total rank;
-  ///  * fairshare_decoder_eliminate_ns{file,user,codec="chunked"} — the
-  ///    decode-time histogram, split from dense by the codec label;
+  /// Report decode progress into `registry`.  Off by default, so the bare
+  /// decode pipeline carries zero instrumentation cost:
+  ///  * fairshare_decoder_rank{file,user,codec} — total rank, with codec
+  ///    "dense" or "chunked" (FileInfo::codec);
+  ///  * fairshare_decoder_eliminate_ns{file,user,codec} — one sample per
+  ///    timed elimination;
+  /// and for chunked files only:
   ///  * fairshare_chunked_class_rank{file,user,class} — per-class gauges;
   ///  * fairshare_chunked_classes_complete_total{file,user} — cascade
   ///    progress counter.
   void enable_metrics(obs::MetricsRegistry& registry, std::uint64_t user_id);
 
+  /// Register the digest of a message generated after the FileInfo
+  /// snapshot was taken (e.g. fetched live from the owning peer while it
+  /// encodes fresh messages on demand).
   void add_digest(std::uint64_t message_id, const crypto::Md5Digest& digest) {
     info_.message_digests[message_id] = digest;
   }
@@ -243,20 +291,28 @@ class Decoder {
   std::size_t non_innovative_ = 0;
   obs::Gauge* rank_gauge_ = nullptr;  // null = metrics disabled
   obs::Histogram* eliminate_ns_ = nullptr;
-  std::vector<obs::Gauge*> class_rank_;
+  std::vector<obs::Gauge*> class_rank_;  // empty for dense files
   obs::Counter* classes_complete_total_ = nullptr;
 };
 
-/// Peer-side class-local recoding: combine verbatim-stored messages *of
-/// one class* into a fresh packet (the chunked analogue of
-/// Recoder::recode).  `stored` must be non-empty and share one file id;
-/// messages outside class `cls` are skipped, and at least one survivor is
-/// required.  Keeping combinations class-local is what lets the decoder
-/// expand them against a single class solver.
+/// Peer-side recoding (recoding.hpp): combine verbatim-stored messages *of
+/// one class* into a fresh packet with nonzero coefficients drawn from
+/// `rng`; needs no secret.  `stored` must be non-empty and share one file
+/// id; messages outside class `cls` are skipped, and at least one
+/// survivor is required.  Keeping combinations class-local is what lets
+/// the decoder expand them against a single class solver.  A dense file
+/// has one class, so recode_class_local(map, 0, ...) combines everything.
 RecodedMessage recode_class_local(const ClassMap& map, std::size_t cls,
                                   std::span<const EncodedMessage> stored,
                                   const CodingParams& params,
                                   sim::SplitMix64& rng);
 
 }  // namespace chunked
+
+/// The names the codec carried when the dense code had an implementation
+/// of its own.
+using FileEncoder = chunked::Encoder;
+using FileDecoder = chunked::Decoder;
+using CodecDecoder = chunked::Decoder;
+
 }  // namespace fairshare::coding

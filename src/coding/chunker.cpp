@@ -18,8 +18,8 @@ ChunkedEncoder::ChunkedEncoder(const SecretKey& secret,
   for (std::size_t i = 0; i < n_units; ++i) {
     const std::size_t off = i * unit_bytes;
     const std::size_t len = std::min(unit_bytes, data.size() - off);
-    encoders_.push_back(std::make_unique<FileEncoder>(
-        secret, base_file_id + i, data.subspan(off, len), params));
+    encoders_.emplace_back(secret, base_file_id + i, data.subspan(off, len),
+                           params);
   }
 }
 
@@ -29,7 +29,7 @@ ChunkedFileInfo ChunkedEncoder::info() const {
   out.total_bytes = total_bytes_;
   out.unit_bytes = unit_bytes_;
   out.units.reserve(encoders_.size());
-  for (const auto& enc : encoders_) out.units.push_back(enc->info());
+  for (const auto& enc : encoders_) out.units.push_back(enc.info());
   return out;
 }
 
@@ -39,8 +39,7 @@ ChunkedDecoder::ChunkedDecoder(const SecretKey& secret,
     : info_(info) {
   decoders_.reserve(info.units.size());
   for (const auto& unit : info.units)
-    decoders_.push_back(
-        std::make_unique<FileDecoder>(secret, unit, require_digests));
+    decoders_.emplace_back(secret, unit, require_digests);
 }
 
 AddResult ChunkedDecoder::add(const EncodedMessage& message) {
@@ -49,7 +48,7 @@ AddResult ChunkedDecoder::add(const EncodedMessage& message) {
   // contiguous range.
   for (std::size_t i = 0; i < info_.units.size(); ++i) {
     if (info_.units[i].file_id == message.file_id)
-      return decoders_[i]->add(message);
+      return decoders_[i].add(message);
   }
   return AddResult::wrong_file;
 }
@@ -60,12 +59,12 @@ bool ChunkedDecoder::complete() const {
 
 std::size_t ChunkedDecoder::next_needed_unit() const {
   for (std::size_t i = 0; i < decoders_.size(); ++i)
-    if (!decoders_[i]->complete()) return i;
+    if (!decoders_[i].complete()) return i;
   return decoders_.size();
 }
 
 std::vector<std::byte> ChunkedDecoder::unit_data(std::size_t i) const {
-  return decoders_[i]->reconstruct();
+  return decoders_[i].reconstruct();
 }
 
 std::vector<std::byte> ChunkedDecoder::reconstruct() const {

@@ -14,12 +14,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 
 namespace fairshare::coding {
 
@@ -41,7 +39,7 @@ class ChunkedEncoder {
                  std::size_t unit_bytes = 1u << 20);
 
   std::size_t units() const { return encoders_.size(); }
-  FileEncoder& unit(std::size_t i) { return *encoders_[i]; }
+  FileEncoder& unit(std::size_t i) { return encoders_[i]; }
 
   /// Snapshot of the combined metadata (per-unit digests reflect messages
   /// generated so far).
@@ -51,7 +49,7 @@ class ChunkedEncoder {
   std::uint64_t base_file_id_;
   std::uint64_t total_bytes_;
   std::size_t unit_bytes_;
-  std::vector<std::unique_ptr<FileEncoder>> encoders_;
+  std::vector<FileEncoder> encoders_;
 };
 
 class ChunkedDecoder {
@@ -64,7 +62,7 @@ class ChunkedDecoder {
   AddResult add(const EncodedMessage& message);
 
   std::size_t units() const { return decoders_.size(); }
-  bool unit_complete(std::size_t i) const { return decoders_[i]->complete(); }
+  bool unit_complete(std::size_t i) const { return decoders_[i].complete(); }
   bool complete() const;
 
   /// Index of the first incomplete unit (== units() when done); the
@@ -78,7 +76,7 @@ class ChunkedDecoder {
 
  private:
   ChunkedFileInfo info_;
-  std::vector<std::unique_ptr<FileDecoder>> decoders_;
+  std::vector<FileDecoder> decoders_;
 };
 
 }  // namespace fairshare::coding

@@ -1,58 +1,5 @@
-// Codec dispatch: one decoder facade over the dense (decoder.hpp) and
-// overlapping-class (chunked.hpp) codecs, selected by FileInfo::codec.
-//
-// Download paths (net/download_client, coding/batch_decoder, the CLI)
-// construct one of these from whatever FileInfo the serving peer
-// advertises, so a single client binary interoperates with files encoded
-// either way — including metadata written before the codec field existed,
-// which decodes as dense (p2p/wire.cpp's versioned trailer).
+// coding::CodecDecoder: the one RLNC decoder (chunked::Decoder), which
+// takes a dense or chunked FileInfo alike.
 #pragma once
 
-#include <cstdint>
-#include <variant>
-#include <vector>
-
 #include "coding/chunked.hpp"
-#include "coding/decoder.hpp"
-
-namespace fairshare::coding {
-
-class CodecDecoder {
- public:
-  CodecDecoder(const SecretKey& secret, const FileInfo& info,
-               bool require_digests = true);
-
-  CodecKind kind() const { return kind_; }
-
-  AddResult add(const EncodedMessage& message);
-  AddResult add_recoded(const RecodedMessage& message);
-
-  void add_digest(std::uint64_t message_id, const crypto::Md5Digest& digest);
-  void set_thread_pool(util::ThreadPool* pool);
-  /// Instruments carry a codec label ("dense"/"chunked"), so both codecs'
-  /// series coexist in one registry; the chunked codec additionally
-  /// reports per-class gauges (see chunked::Decoder::enable_metrics).
-  void enable_metrics(obs::MetricsRegistry& registry, std::uint64_t user_id);
-
-  bool complete() const;
-  std::size_t rank() const;
-  std::size_t k() const;
-
-  std::size_t accepted() const;
-  std::size_t rejected_auth() const;
-  std::size_t non_innovative() const;
-
-  /// Reconstructed file bytes.  Precondition: complete().
-  std::vector<std::byte> reconstruct() const;
-
-  /// The chunked decoder, or nullptr when decoding dense (for class-level
-  /// introspection: classes complete, schedule, add_many batching).
-  chunked::Decoder* chunked_decoder();
-  const chunked::Decoder* chunked_decoder() const;
-
- private:
-  CodecKind kind_;
-  std::variant<FileDecoder, chunked::Decoder> impl_;
-};
-
-}  // namespace fairshare::coding

@@ -49,4 +49,11 @@ crypto::Md5Digest EncodedMessage::digest() const {
   return h.finish();
 }
 
+bool authentic(const FileInfo& info, const EncodedMessage& msg,
+               bool require_digests) {
+  const auto it = info.message_digests.find(msg.message_id);
+  if (it == info.message_digests.end()) return !require_digests;
+  return msg.digest() == it->second;
+}
+
 }  // namespace fairshare::coding

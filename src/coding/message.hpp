@@ -52,10 +52,11 @@ struct FileInfo {
   std::uint64_t original_bytes = 0;  ///< unpadded file length
   CodingParams params;
   std::size_t k = 0;  ///< chunks (decoding needs k innovative messages)
-  /// Which codec generated the messages (selects FileDecoder vs
-  /// chunked::Decoder at the receiving end; peers forward either verbatim).
-  /// On the wire this travels as a versioned trailer whose absence means
-  /// dense, so pre-chunked metadata still decodes.
+  /// Which code generated the messages: dense (one class of width k) or
+  /// chunked (the class geometry in `schedule`); chunked::ClassMap derives
+  /// the classes from it, and peers forward either verbatim.  On the wire
+  /// this travels as a versioned trailer whose absence means dense, so
+  /// pre-chunked metadata still decodes.
   CodecKind codec = CodecKind::dense;
   /// Class geometry + schedule seed; meaningful only when codec ==
   /// CodecKind::chunked.
@@ -72,5 +73,12 @@ struct FileInfo {
   /// accounting for k = 8).
   std::size_t digest_bytes() const { return message_digests.size() * 16; }
 };
+
+/// Download-time authentication (Section III-C): true when `msg` matches
+/// the digest `info` records for its id.  An id with no recorded digest
+/// passes only when `require_digests` is false (a user who did not carry
+/// the digest table, or ids past the FileInfo snapshot).
+bool authentic(const FileInfo& info, const EncodedMessage& msg,
+               bool require_digests);
 
 }  // namespace fairshare::coding

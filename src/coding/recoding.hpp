@@ -17,16 +17,14 @@
 // Secrecy is preserved: a recoded packet carries the combination vector
 // alpha over *message ids*, not the secret betas.  Its effective
 // coefficient row is sum_i alpha_i * beta_{id_i}, which only the secret
-// holder can expand.
+// holder can expand (chunked::Decoder::add_recoded).  Peers build packets
+// with chunked::recode_class_local; a dense file is a single class.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "coding/coefficients.hpp"
-#include "coding/message.hpp"
-#include "sim/rng.hpp"
 
 namespace fairshare::coding {
 
@@ -43,27 +41,5 @@ struct RecodedMessage {
     return 16 + combination.size() * 16 + payload.size();
   }
 };
-
-/// Runs on a peer; needs no secret.  Combines verbatim-stored messages of
-/// one file into a fresh packet with coefficients drawn from `rng`.
-class Recoder {
- public:
-  explicit Recoder(const CodingParams& params) : params_(params) {}
-
-  /// Random combination of `stored` (all must share one file id; at least
-  /// one message).  Zero alphas are re-rolled so every term contributes.
-  RecodedMessage recode(std::span<const EncodedMessage> stored,
-                        sim::SplitMix64& rng) const;
-
- private:
-  CodingParams params_;
-};
-
-/// Decoder-side expansion: the effective coefficient row of a recoded
-/// packet, sum_i alpha_i * beta_{id_i}, packed like a normal row.
-/// Requires the secret (via the CoefficientGenerator).
-std::vector<std::byte> effective_row(const CoefficientGenerator& coeffs,
-                                     const RecodedMessage& message,
-                                     const CodingParams& params);
 
 }  // namespace fairshare::coding

@@ -21,9 +21,8 @@
 
 #include "alloc/policies.hpp"
 #include "alloc/policy.hpp"
+#include "coding/chunked.hpp"
 #include "coding/chunker.hpp"
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
 #include "core/scenario.hpp"
 #include "crypto/auth.hpp"
 #include "crypto/chacha20.hpp"

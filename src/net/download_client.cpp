@@ -7,7 +7,7 @@
 #include <thread>
 #include <unordered_set>
 
-#include "coding/codec.hpp"
+#include "coding/chunked.hpp"
 #include "crypto/auth.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/sha256.hpp"
@@ -108,7 +108,7 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
   obs::TraceSpan download_span(&registry.spans(), "client.download");
   // Codec selected per FileInfo: dense files get the progressive solver,
   // chunked files the per-class decoder; the download loop is identical.
-  coding::CodecDecoder decoder(secret, info);
+  coding::FileDecoder decoder(secret, info);
   decoder.enable_metrics(registry, options.user_id);
   std::mutex decoder_mutex;
   std::atomic<bool> done{false};

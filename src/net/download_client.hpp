@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "coding/decoder.hpp"
+#include "coding/chunked.hpp"
 #include "crypto/rsa.hpp"
 #include "net/retry.hpp"
 #include "net/transport.hpp"

@@ -8,7 +8,7 @@
 #include <mutex>
 #include <thread>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "net/download_client.hpp"
 #include "p2p/wire.hpp"
 #include "sim/rng.hpp"

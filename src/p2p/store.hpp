@@ -26,7 +26,7 @@
 namespace fairshare::p2p {
 
 /// Produces the next fresh coded message of one file (typically bound to
-/// a coding::FileEncoder or coding::chunked::Encoder on the owning peer).
+/// a coding::chunked::Encoder on the owning peer).
 using MessageGenerator = std::function<coding::EncodedMessage()>;
 
 class MessageStore {

@@ -18,11 +18,10 @@
 #include <vector>
 
 #include "alloc/policy.hpp"
-#include "dht/chord.hpp"
+#include "coding/chunked.hpp"
 #include "coding/chunker.hpp"
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
 #include "crypto/auth.hpp"
+#include "dht/chord.hpp"
 #include "p2p/store.hpp"
 #include "sim/rng.hpp"
 #include "sim/trace.hpp"

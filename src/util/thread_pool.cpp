@@ -1,14 +1,28 @@
 #include "util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cassert>
 
 namespace fairshare::util {
 
+namespace {
+
+// CPUs the calling thread may run on.  hardware_concurrency() counts every
+// online CPU on some glibc versions even under taskset or a cpuset, which
+// would oversubscribe a pinned process.
+std::size_t usable_cpus() {
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof mask, &mask) == 0)
+    return static_cast<std::size_t>(CPU_COUNT(&mask));
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = usable_cpus();
   // The caller participates in parallel_for, so the worker cap is
   // threads - 1.  Nothing spawns here: workers appear on demand.
   limit_ = threads - 1;

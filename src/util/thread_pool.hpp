@@ -30,7 +30,9 @@ namespace fairshare::util {
 /// has, which matters on small machines running many servers.
 class ThreadPool {
  public:
-  /// Capacity of `threads` (>= 1).  0 selects hardware_concurrency.
+  /// Capacity of `threads` (>= 1).  0 selects the number of CPUs in the
+  /// calling thread's affinity mask (hardware_concurrency if that cannot
+  /// be read).
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 

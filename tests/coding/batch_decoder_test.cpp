@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "coding/batch_decoder.hpp"
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::coding {

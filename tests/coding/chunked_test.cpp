@@ -18,9 +18,6 @@
 #include <vector>
 
 #include "coding/chunked.hpp"
-#include "coding/codec.hpp"
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
 #include "golden.hpp"
 #include "obs/metrics.hpp"
 #include "p2p/wire.hpp"
@@ -620,8 +617,6 @@ TEST(CodecDecoder, DispatchesOnFileInfoCodec) {
   ASSERT_EQ(dense_enc.info().codec, CodecKind::dense);
   const auto dense_messages = dense_enc.generate(dense_enc.k());
   CodecDecoder dense_dec(key, dense_enc.info());
-  EXPECT_EQ(dense_dec.kind(), CodecKind::dense);
-  EXPECT_EQ(dense_dec.chunked_decoder(), nullptr);
   for (const auto& msg : dense_messages) dense_dec.add(msg);
   ASSERT_TRUE(dense_dec.complete());
   EXPECT_EQ(dense_dec.reconstruct(), data);
@@ -631,8 +626,6 @@ TEST(CodecDecoder, DispatchesOnFileInfoCodec) {
   ASSERT_EQ(chunked_enc.info().schedule, schedule(16, 4));
   const auto chunked_messages = chunked_enc.generate(2 * chunked_enc.k());
   CodecDecoder chunked_dec(key, chunked_enc.info());
-  EXPECT_EQ(chunked_dec.kind(), CodecKind::chunked);
-  ASSERT_NE(chunked_dec.chunked_decoder(), nullptr);
   for (const auto& msg : chunked_messages) {
     if (chunked_dec.complete()) break;
     chunked_dec.add(msg);

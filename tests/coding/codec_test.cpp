@@ -6,8 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::coding {

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "sim/rng.hpp"
 
 namespace fairshare::coding {
@@ -35,6 +35,26 @@ TEST(Encoder, MessageIdsAreDeterministic) {
     EXPECT_EQ(ma[i].message_id, mb[i].message_id);
     EXPECT_EQ(ma[i].payload, mb[i].payload);
   }
+}
+
+TEST(Encoder, CopyContinuesTheSameStream) {
+  // The encoder owns no threads between calls, so a copy taken mid-stream
+  // is an independent encoder at the same point of the same stream.  The
+  // batches span several blocks, so generate() runs its pool.
+  const CodingParams params{gf::FieldId::gf2_8, 64};
+  const auto data = blob(6400, 20);  // k = 100
+  FileEncoder original(secret(1), 1, data, params);
+  original.generate(17);
+  FileEncoder copy = original;
+  const auto a = original.generate(2 * original.k());
+  const auto b = copy.generate(2 * copy.k());
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].message_id, b[i].message_id);
+    EXPECT_EQ(a[i].payload, b[i].payload);
+  }
+  EXPECT_EQ(original.ids_examined(), copy.ids_examined());
+  EXPECT_EQ(original.info().message_digests, copy.info().message_digests);
 }
 
 TEST(Encoder, PayloadDependsOnData) {

@@ -3,8 +3,7 @@
 
 #include <vector>
 
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "coding/merkle_auth.hpp"
 #include "sim/rng.hpp"
 

@@ -1,11 +1,12 @@
 // Peer-side recoding (the rejected design alternative) and its decode path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <vector>
 
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "coding/recoding.hpp"
 #include "sim/rng.hpp"
 
@@ -27,6 +28,15 @@ std::vector<std::byte> random_data(std::size_t n, std::uint64_t seed) {
 
 const CodingParams kParams{gf::FieldId::gf2_32, 64};
 
+// A peer's recode of its store.  A dense file is a single class, so the
+// class-0 recode combines every stored message.
+RecodedMessage recode(const FileEncoder& encoder,
+                      std::span<const EncodedMessage> stored,
+                      sim::SplitMix64& rng) {
+  return chunked::recode_class_local(encoder.class_map(), 0, stored, kParams,
+                                     rng);
+}
+
 TEST(Recoding, RecodedPacketsDecodeTheFile) {
   const auto data = random_data(4000, 1);
   FileEncoder encoder(secret(1), 1, data, kParams);
@@ -35,12 +45,11 @@ TEST(Recoding, RecodedPacketsDecodeTheFile) {
 
   // A peer holding the whole pool emits recoded packets; the user decodes
   // from recoded packets alone.
-  Recoder recoder(kParams);
   sim::SplitMix64 rng(2);
   FileDecoder decoder(secret(1), encoder.info(), /*require_digests=*/false);
   std::size_t sent = 0;
   while (!decoder.complete() && sent < 3 * k) {
-    const RecodedMessage packet = recoder.recode(pool, rng);
+    const RecodedMessage packet = recode(encoder, pool, rng);
     decoder.add_recoded(packet);
     ++sent;
   }
@@ -50,21 +59,31 @@ TEST(Recoding, RecodedPacketsDecodeTheFile) {
 }
 
 TEST(Recoding, EffectiveRowMatchesManualExpansion) {
+  // A recoded payload sum_i alpha_i * Y_i must equal the file's chunks
+  // combined by the effective row sum_i alpha_i * beta_{id_i} — the row
+  // the decoder expands from the secret.
   const auto data = random_data(2000, 3);
   FileEncoder encoder(secret(1), 1, data, kParams);
+  const std::size_t k = encoder.k();
   const auto pool = encoder.generate(3);
-  const CoefficientGenerator gen(secret(1), 1, kParams, encoder.k());
+  const CoefficientGenerator gen(secret(1), 1, kParams, k);
   const auto& f = gf::field_view(kParams.field);
 
-  Recoder recoder(kParams);
   sim::SplitMix64 rng(4);
-  const RecodedMessage packet = recoder.recode(pool, rng);
-  const auto row = effective_row(gen, packet, kParams);
+  const RecodedMessage packet = recode(encoder, pool, rng);
+  ASSERT_EQ(packet.combination.size(), pool.size());
 
-  std::vector<std::byte> expected(f.row_bytes(encoder.k()), std::byte{0});
+  std::vector<std::byte> row(f.row_bytes(k), std::byte{0});
   for (const auto& [mid, alpha] : packet.combination)
-    f.axpy(expected.data(), gen.row(mid).data(), alpha, encoder.k());
-  EXPECT_EQ(row, expected);
+    f.axpy(row.data(), gen.row(mid).data(), alpha, k);
+  const std::size_t chunk_bytes = kParams.message_bytes();
+  std::vector<std::byte> chunks(k * chunk_bytes, std::byte{0});
+  std::copy(data.begin(), data.end(), chunks.begin());
+  std::vector<std::byte> expected(chunk_bytes, std::byte{0});
+  for (std::size_t j = 0; j < k; ++j)
+    f.axpy(expected.data(), chunks.data() + j * chunk_bytes,
+           f.get(row.data(), j), kParams.m);
+  EXPECT_EQ(packet.payload, expected);
 }
 
 TEST(Recoding, MixedVerbatimAndRecodedDecode) {
@@ -73,14 +92,13 @@ TEST(Recoding, MixedVerbatimAndRecodedDecode) {
   const std::size_t k = encoder.k();
   const auto pool = encoder.generate(k);
 
-  Recoder recoder(kParams);
   sim::SplitMix64 rng(6);
   FileDecoder decoder(secret(1), encoder.info());
   // Half verbatim (digest-checked), half recoded.
   for (std::size_t i = 0; i < k / 2; ++i)
     EXPECT_EQ(decoder.add(pool[i]), AddResult::accepted);
   while (!decoder.complete())
-    decoder.add_recoded(recoder.recode(pool, rng));
+    decoder.add_recoded(recode(encoder, pool, rng));
   EXPECT_EQ(decoder.reconstruct(), data);
 }
 
@@ -128,12 +146,11 @@ TEST(Recoding, DefeatsCouponCollectorOnOverlappingStores) {
   }
 
   // Recoding round-robin: every packet spans the peer's whole store.
-  Recoder recoder(kParams);
   FileDecoder recoded(secret(1), encoder.info(), /*require_digests=*/false);
   std::size_t recoded_sent = 0;
   while (!recoded.complete() && recoded_sent < 200) {
     for (std::size_t p = 0; p < 4 && !recoded.complete(); ++p) {
-      recoded.add_recoded(recoder.recode(stores[p], rng));
+      recoded.add_recoded(recode(encoder, stores[p], rng));
       ++recoded_sent;
     }
   }
@@ -153,13 +170,12 @@ TEST(Recoding, WrongFileAndBadSizeRejected) {
   const auto data = random_data(2000, 9);
   FileEncoder encoder(secret(1), 1, data, kParams);
   const auto pool = encoder.generate(encoder.k());
-  Recoder recoder(kParams);
   sim::SplitMix64 rng(10);
   FileDecoder decoder(secret(1), encoder.info(), false);
-  auto packet = recoder.recode(pool, rng);
+  auto packet = recode(encoder, pool, rng);
   packet.file_id = 999;
   EXPECT_EQ(decoder.add_recoded(packet), AddResult::wrong_file);
-  packet = recoder.recode(pool, rng);
+  packet = recode(encoder, pool, rng);
   packet.payload.pop_back();
   EXPECT_EQ(decoder.add_recoded(packet), AddResult::bad_size);
 }
@@ -170,14 +186,13 @@ TEST(Recoding, TamperedRecodedPacketCorruptsSilently) {
   const auto data = random_data(4000, 11);
   FileEncoder encoder(secret(1), 1, data, kParams);
   const auto pool = encoder.generate(encoder.k());
-  Recoder recoder(kParams);
   sim::SplitMix64 rng(12);
   FileDecoder decoder(secret(1), encoder.info(), false);
-  auto first = recoder.recode(pool, rng);
+  auto first = recode(encoder, pool, rng);
   first.payload[0] ^= std::byte{0x80};          // malicious peer
   EXPECT_EQ(decoder.add_recoded(first), AddResult::accepted);  // undetected!
   while (!decoder.complete())
-    decoder.add_recoded(recoder.recode(pool, rng));
+    decoder.add_recoded(recode(encoder, pool, rng));
   const auto out = decoder.reconstruct();
   EXPECT_NE(out, data);  // corruption went through
   EXPECT_NE(crypto::Md5::hash(std::span<const std::byte>(out)),

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "coding/chunked.hpp"
-#include "coding/encoder.hpp"
 #include "net/download_client.hpp"
 #include "net/fault_transport.hpp"
 #include "net/peer_server.hpp"

@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "crypto/auth.hpp"
 #include "crypto/chacha20.hpp"
 #include "net/download_client.hpp"

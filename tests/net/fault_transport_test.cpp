@@ -7,8 +7,7 @@
 #include <memory>
 #include <vector>
 
-#include "coding/encoder.hpp"
-#include "coding/decoder.hpp"
+#include "coding/chunked.hpp"
 #include "net/fault_transport.hpp"
 #include "net/retry.hpp"
 #include "net/transport.hpp"

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "net/download_client.hpp"
 #include "net/peer_server.hpp"
 #include "p2p/persistence.hpp"

@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "net/fault_transport.hpp"
 #include "net/peer_server.hpp"
 #include "net/socket.hpp"

@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "net/peer_server.hpp"
 #include "p2p/wire.hpp"
 #include "sim/rng.hpp"

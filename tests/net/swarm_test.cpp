@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "crypto/chacha20.hpp"
 #include "net/download_client.hpp"
 #include "net/peer_server.hpp"

@@ -15,8 +15,7 @@
 #include <vector>
 
 #include "alloc/policies.hpp"
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "net/download_client.hpp"
 #include "net/fault_transport.hpp"
 #include "net/peer_server.hpp"

@@ -5,8 +5,7 @@
 #include <filesystem>
 #include <vector>
 
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
+#include "coding/chunked.hpp"
 #include "p2p/persistence.hpp"
 #include "sim/rng.hpp"
 

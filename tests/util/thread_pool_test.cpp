@@ -1,5 +1,6 @@
 // Thread pool and parallel row kernels.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -22,6 +23,24 @@ TEST(ThreadPool, RunsEveryJobExactlyOnce) {
   std::vector<std::atomic<int>> hits(100);
   pool.parallel_for(100, [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ZeroSizesFromTheAffinityMask) {
+  // Pin this thread to one of its CPUs: a default-sized pool must then
+  // have one thread, not one per CPU on the host.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const std::size_t pinned = util::ThreadPool(0).size();
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(util::ThreadPool(0).size(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
 }
 
 TEST(ThreadPool, ZeroJobsIsNoOp) {

@@ -58,9 +58,6 @@
 #endif
 
 #include "coding/chunked.hpp"
-#include "coding/codec.hpp"
-#include "coding/decoder.hpp"
-#include "coding/encoder.hpp"
 #include "crypto/sha256.hpp"
 #include "disco/client.hpp"
 #include "disco/node.hpp"
@@ -332,19 +329,16 @@ int cmd_encode(const Options& opt) {
 
   const coding::CodingParams params{field, opt.m};
   const coding::SecretKey secret = secret_from_passphrase(opt.secret);
-  // Both encoders share one deterministic interface; only construction and
-  // the class geometry differ.
-  std::optional<coding::FileEncoder> dense;
-  std::optional<coding::chunked::Encoder> chunked;
-  if (opt.codec == "chunked")
-    chunked.emplace(secret, /*file_id=*/1, data, params, opt.schedule);
-  else
-    dense.emplace(secret, /*file_id=*/1, data, params);
-  const std::size_t k = chunked ? chunked->k() : dense->k();
+  // A dense file is the one-class case of the same encoder.
+  coding::chunked::Encoder encoder =
+      opt.codec == "chunked"
+          ? coding::chunked::Encoder(secret, /*file_id=*/1, data, params,
+                                     opt.schedule)
+          : coding::chunked::Encoder(secret, /*file_id=*/1, data, params);
+  const std::size_t k = encoder.k();
   const std::size_t count = opt.messages ? opt.messages : k;
-  const auto messages =
-      chunked ? chunked->generate(count) : dense->generate(count);
-  const coding::FileInfo& info = chunked ? chunked->info() : dense->info();
+  const auto messages = encoder.generate(count);
+  const coding::FileInfo& info = encoder.info();
   for (const auto& msg : messages) {
     const fs::path path =
         out_dir / ("msg_" + std::to_string(msg.message_id) + ".bin");
@@ -383,7 +377,7 @@ int cmd_decode(const Options& opt) {
     return 1;
   }
 
-  coding::CodecDecoder decoder(secret_from_passphrase(opt.secret), *info);
+  coding::FileDecoder decoder(secret_from_passphrase(opt.secret), *info);
   std::size_t rejected = 0;
   for (std::size_t i = 2; i < opt.positional.size() && !decoder.complete();
        ++i) {
