@@ -1,7 +1,10 @@
 #include "p2p/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 namespace fairshare::p2p::wire {
 
@@ -229,8 +232,13 @@ std::vector<std::byte> encode(const coding::FileInfo& info) {
   w.put_u64(info.params.m);
   w.put_u64(info.k);
   w.put_bytes(std::span<const std::uint8_t>(info.content_digest));
-  w.put_u32(static_cast<std::uint32_t>(info.message_digests.size()));
-  for (const auto& [mid, digest] : info.message_digests) {
+  // Digests go out sorted by id, so the frame depends only on the table's
+  // contents and not on the map's insertion history.
+  std::vector<std::pair<std::uint64_t, crypto::Md5Digest>> digests(
+      info.message_digests.begin(), info.message_digests.end());
+  std::sort(digests.begin(), digests.end());
+  w.put_u32(static_cast<std::uint32_t>(digests.size()));
+  for (const auto& [mid, digest] : digests) {
     w.put_u64(mid);
     w.put_bytes(std::span<const std::uint8_t>(digest));
   }

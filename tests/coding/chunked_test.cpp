@@ -311,9 +311,8 @@ std::string render_transcript(const std::string& header,
 // mix generate(1), next_message(), generate(7) and a generate(2k) that
 // runs through a per-class rank reset, so a change to screening, to the
 // order messages come out in, or to the digest bookkeeping shows up as a
-// diff.  FileInfo serializes an unordered_map, so its bytes also pin the
-// order digests were recorded in; like the ledger goldens they hold for
-// one platform (x86-64, libstdc++).
+// diff.  The FileInfo frame lists digests sorted by id, so it pins the
+// digest table's contents.
 std::string encoder_transcript(const GeometryCase& c) {
   const CodingParams params{c.field, c.m};
   const auto data = random_data(c.data_bytes, 12);

@@ -182,6 +182,34 @@ TEST(Wire, ChunkedFileInfoRoundTrip) {
   EXPECT_EQ(back->message_digests, info.message_digests);
 }
 
+TEST(Wire, FileInfoFrameIsCanonical) {
+  // A FileInfo's frame depends only on its contents: the digest table goes
+  // out sorted by id, so a decode -> encode round trip (a relay, a
+  // persisted copy) reproduces the frame byte for byte, and so does the
+  // same table filled in another order.
+  auto info = sample_info();
+  info.codec = coding::CodecKind::chunked;
+  info.message_digests.clear();
+  sim::SplitMix64 rng(5);
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    ids.push_back(rng.next() % 1000000);
+    crypto::Md5Digest d{};
+    for (auto& b : d) b = static_cast<std::uint8_t>(rng.next());
+    info.message_digests.emplace(ids.back(), d);
+  }
+  const auto frame = encode(info);
+  const auto back = decode_file_info(frame);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(encode(*back), frame);
+
+  auto reordered = info;
+  reordered.message_digests.clear();
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it)
+    reordered.message_digests.emplace(*it, info.message_digests.at(*it));
+  EXPECT_EQ(encode(reordered), frame);
+}
+
 TEST(Wire, DenseFileInfoCarriesNoCodecTrailer) {
   // Dense metadata must stay byte-identical to the pre-codec wire format
   // (old clients keep working); the chunked trailer costs exactly
