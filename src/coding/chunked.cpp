@@ -146,7 +146,8 @@ Encoder::Encoder(const SecretKey& secret, FileInfo info,
       map_(info_),
       chunk_bytes_(info_.params.message_bytes()),
       coeffs_(secret, info_.file_id, info_.params, map_.max_width()) {
-  assert((info_.params.field != gf::FieldId::gf2_4 || info_.params.m % 2 == 0) &&
+  assert((info_.params.field != gf::FieldId::gf2_4 ||
+          info_.params.m % 2 == 0) &&
          "GF(2^4) requires even m for byte-aligned chunks");
 
   // Lay the file out as k chunks of m packed symbols; the packed wire
@@ -166,9 +167,13 @@ EncodedMessage Encoder::next_message() {
 std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
   // Phase 1, on the calling thread: screen ids in order and allocate every
   // payload.  Payloads allocated inside pool jobs would come from the
-  // workers' own malloc arenas and raise peak RSS.
+  // workers' own malloc arenas and raise peak RSS.  Coefficient rows are
+  // kept packed: a dense file's rows span all k chunks, and unpacked they
+  // would take 8 bytes a symbol.
+  const auto& f = gf::field_view(info_.params.field);
   std::vector<EncodedMessage> out(count);
-  std::vector<std::vector<std::uint64_t>> rows(count);
+  std::vector<std::vector<std::byte>> rows(count);
+  std::vector<std::uint64_t> symbols(map_.max_width());
   std::vector<std::vector<std::size_t>> by_class(map_.classes());
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t cls = 0;
@@ -176,8 +181,9 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
       const std::uint64_t candidate = next_id_++;
       cls = map_.class_of(candidate);
       const std::size_t w = map_.width(cls);
-      rows[i] = coeffs_.row_symbols(candidate);
-      if (!batch_rank_[cls].add_row(std::span(rows[i]).first(w)))
+      rows[i] = coeffs_.row(candidate);
+      for (std::size_t j = 0; j < w; ++j) symbols[j] = f.get(rows[i].data(), j);
+      if (!batch_rank_[cls].add_row(std::span(symbols).first(w)))
         continue;  // dependent; skip this id
       if (batch_rank_[cls].full())
         batch_rank_[cls] = linalg::IncrementalRank(info_.params.field, w);
@@ -204,7 +210,6 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
           {c, std::span(by_class[c])
                   .subspan(b, std::min(kBlockMessages,
                                        by_class[c].size() - b))});
-  const auto& f = gf::field_view(info_.params.field);
   const std::size_t tile = kTileBytes * 8 / f.bits;  // symbols per tile
   std::vector<crypto::Md5Digest> digests(count);
   const auto encode_block = [&](std::size_t b) {
@@ -217,9 +222,10 @@ std::vector<EncodedMessage> Encoder::generate(std::size_t count) {
       const std::size_t offset = f.row_bytes(first);  // first is even: exact
       for (std::size_t j = 0; j < w; ++j) {
         const std::byte* src = window + j * chunk_bytes_ + offset;
-        for (std::size_t i : block.members)
-          if (rows[i][j] != 0)
-            f.axpy(out[i].payload.data() + offset, src, rows[i][j], n);
+        for (std::size_t i : block.members) {
+          const std::uint64_t c = f.get(rows[i].data(), j);
+          if (c != 0) f.axpy(out[i].payload.data() + offset, src, c, n);
+        }
       }
     }
     for (std::size_t i : block.members) digests[i] = out[i].digest();

@@ -309,8 +309,9 @@ RecodedMessage recode_class_local(const ClassMap& map, std::size_t cls,
 
 }  // namespace chunked
 
-/// The names the codec carried when the dense code had an implementation
-/// of its own.
+/// Other names of the two classes: FileEncoder and FileDecoder for code
+/// that handles a file whichever its codec, CodecDecoder for download
+/// paths that decode whatever FileInfo a peer advertises.
 using FileEncoder = chunked::Encoder;
 using FileDecoder = chunked::Decoder;
 using CodecDecoder = chunked::Decoder;

@@ -1,8 +1,8 @@
-// Overlapping-class codec (coding/chunked.hpp): class-map geometry and
-// schedule invariants, bit-exact agreement with the dense codec, the
+// The RLNC codec (coding/chunked.hpp): class-map geometry and schedule
+// invariants, bit-exact agreement between dense and chunked files, the
 // donation cascade under in-order / shuffled / recoded delivery, batch
 // parallelism parity, the registry wiring for the chunked metrics, and
-// byte-for-byte encoder goldens.
+// byte-for-byte encoder goldens for chunked and dense files.
 //
 // Regenerate the encoder goldens (tests/coding/golden) after an
 // intentional change with

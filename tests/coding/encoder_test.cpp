@@ -40,12 +40,15 @@ TEST(Encoder, MessageIdsAreDeterministic) {
 TEST(Encoder, CopyContinuesTheSameStream) {
   // The encoder owns no threads between calls, so a copy taken mid-stream
   // is an independent encoder at the same point of the same stream.  The
-  // batches span several blocks, so generate() runs its pool.
+  // batches span several classes and blocks, so generate() runs its pool.
   const CodingParams params{gf::FieldId::gf2_8, 64};
   const auto data = blob(6400, 20);  // k = 100
-  FileEncoder original(secret(1), 1, data, params);
+  ChunkedSchedule schedule;
+  schedule.class_size = 16;
+  schedule.overlap = 4;
+  chunked::Encoder original(secret(1), 1, data, params, schedule);
   original.generate(17);
-  FileEncoder copy = original;
+  chunked::Encoder copy = original;
   const auto a = original.generate(2 * original.k());
   const auto b = copy.generate(2 * copy.k());
   ASSERT_EQ(a.size(), b.size());
