@@ -33,7 +33,7 @@ const char* to_string(CodecKind kind);
 /// `seed` fixes the message-id -> class schedule (chunked::ClassMap).
 /// Everything here is public — peers and recoders need it to group
 /// messages by class — while the coefficient values inside a class stay
-/// derived from the secret key exactly as in the dense codec.
+/// derived from the secret key, as for a dense file.
 struct ChunkedSchedule {
   std::uint32_t class_size = 64;  ///< chunks per class
   std::uint32_t overlap = 8;      ///< chunks shared with the previous class

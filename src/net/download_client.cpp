@@ -106,8 +106,7 @@ DownloadReport download_file(const std::vector<PeerEndpoint>& raw_peers,
     instruments.push_back(
         make_instruments(registry, options.user_id, peer.peer_id));
   obs::TraceSpan download_span(&registry.spans(), "client.download");
-  // Codec selected per FileInfo: dense files get the progressive solver,
-  // chunked files the per-class decoder; the download loop is identical.
+  // One decoder for either codec: a dense FileInfo decodes as one class.
   coding::FileDecoder decoder(secret, info);
   decoder.enable_metrics(registry, options.user_id);
   std::mutex decoder_mutex;
